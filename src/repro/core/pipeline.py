@@ -14,14 +14,17 @@ C. **Model training** — train a multi-modal model (early / intermediate
    weakly-supervised new modality, using only servable features.
 
 Each step is a public method so team members can enter and exit the
-pipeline at their step (the paper's production requirement §2.3);
-:meth:`CrossModalPipeline.run` chains them.
+pipeline at their step (the paper's production requirement §2.3).
+:data:`STAGES` declares each step once — the config it fingerprints,
+its upstream artifacts, compute and codecs — and
+:meth:`CrossModalPipeline.run` and lineage repair both read that table.
 """
 
 from __future__ import annotations
 
+import tempfile
 from dataclasses import asdict, dataclass, field
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 
@@ -33,13 +36,13 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.resilience.policy import ResiliencePolicy
     from repro.runs.checkpoint import RunCheckpointer
     from repro.runs.manifest import RunManifest
-    from repro.runs.store import RunStore
 from repro.core.exceptions import ConfigurationError, RepairError
 from repro.core.rng import derive_seed, spawn
 from repro.exec import ExecutorConfig
 from repro.datagen.corpus import Corpus, CorpusSplits
 from repro.datagen.entities import Modality
 from repro.datagen.world import TaskRuntime, World
+from repro.features.io import table_to_dict
 from repro.features.schema import FeatureSchema
 from repro.features.table import FeatureTable
 from repro.labeling.analysis import WeakLabelQuality, weak_label_quality
@@ -63,110 +66,220 @@ from repro.propagation.streaming import StreamingLabelPropagation
 from repro.resources.catalog import ResourceCatalog
 from repro.resources.featurize import featurize_corpus
 from repro.resources.service_sets import IMAGE_SET
+from repro.runs import codecs
+from repro.runs.store import ArtifactRef, RunStore
+from repro.shards.stages import ShardProgress, _job_key, featurize_corpus_sharded
+from repro.shards.table import (
+    DENSE_KIND,
+    MANIFEST_KIND,
+    ROWS_KIND,
+    ShardedTable,
+    load_feature_table,
+)
 
-__all__ = ["CrossModalPipeline", "CurationResult", "PipelineResult"]
+__all__ = [
+    "STAGES",
+    "CrossModalPipeline",
+    "CurationResult",
+    "PipelineResult",
+    "StageInputs",
+    "StageSpec",
+    "split_corpora",
+]
 
 
 # ----------------------------------------------------------------------
-# stage codecs (shared by checkpointed runs and lineage repair)
+# the stage table
 #
-# A repaired artifact must hash bit-identically to the original, so the
-# checkpoint path and the offline replay path must encode through the
-# exact same functions.  Imports are lazy: repro.runs.codecs imports
-# this module for CurationResult.
+# Each stage is declared once, as a StageSpec row: the config slice it
+# fingerprints, the upstream artifacts whose hashes it chains, and its
+# compute / encode / decode.  Checkpointed runs (CrossModalPipeline.run)
+# and lineage repair (recompute_stage) both read these rows, so a
+# repaired artifact hashes bit-identically to the original.
 # ----------------------------------------------------------------------
-def _encode_feature_tables(tables: dict[str, FeatureTable]) -> dict:
-    from repro.features.io import table_to_dict
+def split_corpora(splits: CorpusSplits) -> tuple[tuple[str, Corpus, bool], ...]:
+    """The featurize stage's ``(artifact key, corpus, include_labels)``
+    triples."""
+    return (
+        ("text", splits.text_labeled, True),
+        ("image", splits.image_unlabeled, False),
+        ("test", splits.image_test, True),
+    )
 
+
+@dataclass
+class StageInputs:
+    """What a stage's compute reads."""
+
+    splits: CorpusSplits
+    #: the stage's fingerprinted config (sharded featurize takes its
+    #: ``shard_size`` from here, so a replay follows the recorded run)
+    config: dict
+    #: decoded upstream artifacts by name
+    artifacts: dict[str, object]
+    #: where sharded featurize writes its shards
+    store: RunStore | None = None
+    #: split key -> completed-shard manifest of a resumable sharded run
+    progress: Callable[[str], ShardProgress] | None = None
+
+
+@dataclass(frozen=True)
+class StageSpec:
+    """One pipeline stage, declared once."""
+
+    name: str
+    #: ``pipeline -> config slice``; input hashes join it as ``"inputs"``
+    config: Callable[["CrossModalPipeline"], dict]
+    #: upstream ``(stage, artifact)`` pairs: compute reads them, and
+    #: their content hashes chain into the fingerprint
+    inputs: tuple[tuple[str, str], ...]
+    #: ``(pipeline, StageInputs) -> {artifact: value}``
+    compute: Callable[["CrossModalPipeline", StageInputs], dict]
+    #: ``{artifact: value} -> {artifact: (kind, payload)}``
+    encode: Callable[[dict], dict]
+    #: ``(store, ref, payload) -> value`` of one top-level artifact
+    decode: Callable[[RunStore, ArtifactRef, object], object]
+
+
+def _featurize_config(p: "CrossModalPipeline") -> dict:
+    config: dict = {
+        "seed": p.config.seed,
+        "derived_seed": derive_seed(p.config.seed, "featurize"),
+        "features": sorted(p.schema.names),
+    }
+    if p.resilience_context is not None:
+        # degradation regime (fault seeds, availability, retry/deadline
+        # budgets) changes featurized values, so it invalidates the
+        # checkpoint like a seed does
+        config["resilience"] = p.resilience_context
+    if p.config.shard_size is not None:
+        # a sharded and an unsharded run lay artifacts out
+        # incompatibly, so they must not replay each other
+        config["shard_size"] = p.config.shard_size
+    return config
+
+
+def _curate_config(p: "CrossModalPipeline") -> dict:
     return {
-        key: ("feature_table", table_to_dict(table)) for key, table in tables.items()
+        "curation": asdict(p.config.curation),
+        # the full graph config: approximation changes results, so
+        # backend + parameters invalidate the checkpoint (exec backends
+        # do not)
+        "graph": asdict(p.graph_config()),
+        "lf_service_sets": list(p.config.lf_service_sets),
+        "seed": p.config.seed,
+        "derived_seed": derive_seed(p.config.seed, "curate"),
     }
 
 
-def _decode_feature_tables(payloads: dict) -> dict[str, FeatureTable]:
-    from repro.features.io import table_from_dict
+def _train_config(p: "CrossModalPipeline") -> dict:
+    return {
+        "training": asdict(p.config.training),
+        "model_service_sets": list(p.config.model_service_sets),
+        "include_image_features": p.config.include_image_features,
+        "drop_uncovered": p.config.curation.drop_uncovered,
+        "derived_seed": derive_seed(p.config.seed, "model"),
+    }
 
-    return {key: table_from_dict(data) for key, data in payloads.items()}
+
+def _evaluate_config(p: "CrossModalPipeline") -> dict:
+    return {
+        "model_service_sets": list(p.config.model_service_sets),
+        "include_image_features": p.config.include_image_features,
+    }
 
 
-def _encode_sharded_tables(tables: dict) -> dict:
-    """Checkpoint encoding of a sharded featurize stage.
+def _encode_feature_tables(tables: dict) -> dict:
+    """Checkpoint encoding of the featurize stage.
 
-    Every shard artifact becomes a stage artifact — ``text`` carries the
-    manifest (whose hash chains over the shard hashes, so downstream
-    fingerprints stay Merkle-pinned), ``text/shard00003`` the rows part
-    and ``text/shard00003.dense`` the binary dense part of shard 3.
-    Listing the shards individually is what lets ``scrub --repair``
-    audit and heal exactly the damaged shard.  Re-reading the payloads
-    here is O(corpus) at the stage boundary; the streaming plane
-    (:mod:`repro.shards.stages`) never goes through this codec.
+    An in-memory table is one ``feature_table`` artifact.  A sharded
+    table lists every shard artifact as a stage artifact — ``text``
+    carries the manifest (whose hash chains over the shard hashes, so
+    downstream fingerprints stay Merkle-pinned), ``text/shard00003`` the
+    rows part and ``text/shard00003.dense`` the binary dense part of
+    shard 3.  Listing the shards individually is what lets ``scrub
+    --repair`` audit and heal exactly the damaged shard.
     """
-    from repro.shards.table import DENSE_KIND, MANIFEST_KIND, ROWS_KIND
-
     out: dict = {}
-    for key, sharded in tables.items():
-        out[key] = (MANIFEST_KIND, sharded.manifest)
-        for index in range(sharded.n_shards):
-            rows_ref, dense_ref = sharded.shard_refs(index)
-            out[f"{key}/shard{index:05d}"] = (
-                ROWS_KIND,
-                sharded.reader.read_json(rows_ref),
-            )
+    for key, table in tables.items():
+        if not isinstance(table, ShardedTable):
+            out[key] = ("feature_table", table_to_dict(table))
+            continue
+        out[key] = (MANIFEST_KIND, table.manifest)
+        for index in range(table.n_shards):
+            rows_ref, dense_ref = table.shard_refs(index)
+            shard = f"{key}/shard{index:05d}"
+            out[shard] = (ROWS_KIND, table.reader.read_json(rows_ref))
             if dense_ref is not None:
-                out[f"{key}/shard{index:05d}.dense"] = (
+                out[f"{shard}.dense"] = (
                     DENSE_KIND,
-                    sharded.reader.read_bytes(dense_ref),
+                    table.reader.read_bytes(dense_ref),
                 )
     return out
 
 
-def _decode_sharded_tables(payloads: dict, store: "RunStore") -> dict:
-    """Rebind manifest payloads to :class:`ShardedTable` handles (the
-    per-shard payloads ride along for repair; the handles re-read them
-    through the verifying store path on demand)."""
-    from repro.shards.table import ShardedTable
-
+def _one_artifact(name: str, kind: str, encode: Callable, decode: Callable) -> dict:
+    """``encode``/``decode`` of a stage whose value is one JSON artifact."""
     return {
-        key: ShardedTable(store, doc)
-        for key, doc in payloads.items()
-        if "/" not in key
+        "encode": lambda out: {name: (kind, encode(out[name]))},
+        "decode": lambda store, ref, doc: decode(doc),
     }
 
 
-def _encode_curation_stage(curation: "CurationResult") -> dict:
-    from repro.runs import codecs
-
-    return {"curation": ("curation_result", codecs.encode_curation(curation))}
-
-
-def _decode_curation_stage(payloads: dict) -> "CurationResult":
-    from repro.runs import codecs
-
-    return codecs.decode_curation(payloads["curation"])
-
-
-def _encode_train_stage(model: object) -> dict:
-    from repro.runs import codecs
-
-    return {"model": ("fusion_model", codecs.encode_model(model))}
-
-
-def _decode_train_stage(payloads: dict) -> object:
-    from repro.runs import codecs
-
-    return codecs.decode_model(payloads["model"])
-
-
-def _encode_evaluate_stage(pair: tuple) -> dict:
-    from repro.runs import codecs
-
-    return {"evaluation": ("evaluation", codecs.encode_evaluation(pair[0], pair[1]))}
-
-
-def _decode_evaluate_stage(payloads: dict) -> tuple:
-    from repro.runs import codecs
-
-    return codecs.decode_evaluation(payloads["evaluation"])
+STAGES: tuple[StageSpec, ...] = (
+    StageSpec(
+        name="featurize",
+        config=_featurize_config,
+        inputs=(),
+        compute=lambda p, job: p._featurize_splits(
+            job.splits, job.config.get("shard_size"), job.store, job.progress
+        ),
+        encode=_encode_feature_tables,
+        decode=load_feature_table,
+    ),
+    StageSpec(
+        name="curate",
+        config=_curate_config,
+        inputs=(("featurize", "text"), ("featurize", "image")),
+        compute=lambda p, job: {
+            "curation": p.curate(job.artifacts["text"], job.artifacts["image"])
+        },
+        **_one_artifact(
+            "curation", "curation_result",
+            codecs.encode_curation, codecs.decode_curation,
+        ),
+    ),
+    StageSpec(
+        name="train",
+        config=_train_config,
+        # chains over every featurize table, not only the one it reads
+        inputs=(
+            ("featurize", "image"),
+            ("featurize", "test"),
+            ("featurize", "text"),
+            ("curate", "curation"),
+        ),
+        compute=lambda p, job: {
+            "model": p.train(job.artifacts["text"], job.artifacts["curation"])
+        },
+        **_one_artifact(
+            "model", "fusion_model", codecs.encode_model, codecs.decode_model
+        ),
+    ),
+    StageSpec(
+        name="evaluate",
+        config=_evaluate_config,
+        inputs=(("featurize", "test"), ("train", "model")),
+        compute=lambda p, job: {
+            "evaluation": p.evaluate(job.artifacts["model"], job.artifacts["test"])
+        },
+        **_one_artifact(
+            "evaluation", "evaluation",
+            lambda pair: codecs.encode_evaluation(*pair), codecs.decode_evaluation,
+        ),
+    ),
+)
+_STAGES_BY_NAME = {spec.name: spec for spec in STAGES}
 
 
 @dataclass
@@ -239,9 +352,7 @@ class CrossModalPipeline:
         #: resolved execution backend for the parallel stages; a live
         #: injected executor (e.g. a multi-tenant fair-queue lane) wins
         #: over the config
-        self.executor = (
-            executor if executor is not None else self.config.effective_executor()
-        )
+        self.executor = executor if executor is not None else self.config.executor
         # LF closures capture mined predicates and cannot pickle, so LF
         # application caps out at the thread backend even when the rest
         # of the pipeline runs on processes.
@@ -270,46 +381,43 @@ class CrossModalPipeline:
             list(self.catalog),
             seed=derive_seed(self.config.seed, "featurize"),
             include_labels=include_labels,
-            n_threads=self.config.n_threads,
             policy=self.resilience,
             executor=self.executor,
         )
 
-    def featurize_sharded(
+    def _featurize_splits(
         self,
-        corpus: Corpus,
-        store: "RunStore",
-        include_labels: bool = False,
-        progress: object | None = None,
-        tag: str = "table",
-    ):
-        """Out-of-core variant of :meth:`featurize` (``shard_size`` set).
+        splits: CorpusSplits,
+        shard_size: int | None = None,
+        store: RunStore | None = None,
+        progress: Callable[[str], ShardProgress] | None = None,
+    ) -> dict:
+        """Featurize every split of :func:`split_corpora`.
 
-        Returns a :class:`~repro.shards.table.ShardedTable` handle over
-        content-hashed shard artifacts in ``store``.  Values are
-        bit-identical to :meth:`featurize` for every shard size — the
-        per-point RNG streams depend only on (seed, point, resource) —
-        but peak memory is O(shard) instead of O(corpus).
+        With ``shard_size``, each split is featurized out of core into
+        ``store`` (:func:`~repro.shards.featurize_corpus_sharded`: the
+        values of :meth:`featurize`, O(shard) memory) and comes back as
+        a :class:`~repro.shards.table.ShardedTable` handle;
+        ``progress(key)`` is the split's completed-shard manifest.
         """
-        from repro.shards import featurize_corpus_sharded
-
-        if self.config.shard_size is None:
-            raise ConfigurationError(
-                "featurize_sharded requires config.shard_size to be set"
+        tables: dict = {}
+        for key, corpus, labeled in split_corpora(splits):
+            if shard_size is None:
+                tables[key] = self.featurize(corpus, include_labels=labeled)
+                continue
+            tables[key] = featurize_corpus_sharded(
+                corpus,
+                list(self.catalog),
+                store,
+                shard_size,
+                seed=derive_seed(self.config.seed, "featurize"),
+                include_labels=labeled,
+                policy=self.resilience,
+                executor=self.executor,
+                progress=None if progress is None else progress(key),
+                tag=key,
             )
-        return featurize_corpus_sharded(
-            corpus,
-            list(self.catalog),
-            store,
-            self.config.shard_size,
-            seed=derive_seed(self.config.seed, "featurize"),
-            include_labels=include_labels,
-            n_threads=self.config.n_threads,
-            policy=self.resilience,
-            executor=self.executor,
-            progress=progress,
-            tag=tag,
-        )
+        return tables
 
     # ------------------------------------------------------------------
     # feature selection helpers
@@ -396,14 +504,8 @@ class CrossModalPipeline:
                 "enable mining or propagation, or loosen thresholds"
             )
 
-        matrix = apply_lfs(
-            lfs, image_aug, n_threads=self.config.n_threads,
-            executor=self._lf_executor,
-        )
-        dev_matrix = apply_lfs(
-            lfs, dev_aug, n_threads=self.config.n_threads,
-            executor=self._lf_executor,
-        )
+        matrix = apply_lfs(lfs, image_aug, executor=self._lf_executor)
+        dev_matrix = apply_lfs(lfs, dev_aug, executor=self._lf_executor)
         if cfg.use_generative_model:
             # anchor the LF conditional tables to their old-modality
             # dev-set estimates (§4.2: labeled data of existing
@@ -682,7 +784,8 @@ class CrossModalPipeline:
         splits: CorpusSplits,
         checkpoint: "RunCheckpointer | None" = None,
     ) -> PipelineResult:
-        """Full pipeline: featurize -> curate -> train -> evaluate.
+        """Full pipeline: one pass over :data:`STAGES` (featurize ->
+        curate -> train -> evaluate).
 
         Each step runs inside an :mod:`repro.obs` span of the same name,
         so a traced run (``obs.enable()``) exports the full nested tree;
@@ -696,197 +799,85 @@ class CrossModalPipeline:
         an RNG stream derived purely from the recorded seeds, a resumed
         run is bit-identical to an uninterrupted one.
         """
-        cfg = self.config
-        timings: dict[str, float] = {}
-        resumed: list[str] = []
-        sharded = checkpoint is not None and cfg.shard_size is not None
-        if cfg.shard_size is not None and self.resilience is not None:
+        if self.config.shard_size is not None and checkpoint is None:
+            raise ConfigurationError(
+                "shard_size requires a checkpointed run: shard artifacts "
+                "live in the run's content-hashed store"
+            )
+        if self.config.shard_size is not None and self.resilience is not None:
             raise ConfigurationError(
                 "shard_size cannot be combined with a resilience policy: "
                 "sharded featurize does not carry per-run degradation "
                 "reports — run resilience regimes unsharded"
             )
-
-        # ----- stage A: feature generation ----------------------------
-        def compute_featurize() -> dict[str, FeatureTable]:
-            return {
-                "text": self.featurize(splits.text_labeled, include_labels=True),
-                "image": self.featurize(splits.image_unlabeled, include_labels=False),
-                "test": self.featurize(splits.image_test, include_labels=True),
-            }
-
-        def compute_featurize_sharded() -> dict:
-            from repro.shards import ShardProgress
-            from repro.shards.stages import _job_key
-
-            assert checkpoint is not None
-            out = {}
-            for key, corpus, labeled in (
-                ("text", splits.text_labeled, True),
-                ("image", splits.image_unlabeled, False),
-                ("test", splits.image_test, True),
-            ):
-                progress = ShardProgress(
-                    checkpoint.store.root / f"shards-featurize-{key}.json",
-                    job_key=_job_key({**feat_config, "split": key}),
-                )
-                out[key] = self.featurize_sharded(
-                    corpus,
-                    checkpoint.store,
-                    include_labels=labeled,
-                    progress=progress,
-                    tag=key,
-                )
-            return out
-
-        feat_hashes: dict[str, str] = {}
-        with obs.timed("featurize", task=self.task.name) as t:
-            if checkpoint is None:
-                tables = compute_featurize()
-            else:
-                feat_config: dict = {
-                    "seed": cfg.seed,
-                    "derived_seed": derive_seed(cfg.seed, "featurize"),
-                    "features": sorted(self.schema.names),
-                }
-                if self.resilience_context is not None:
-                    # degradation regime (fault seeds, availability,
-                    # retry/deadline budgets) changes featurized values,
-                    # so it invalidates the checkpoint like a seed does
-                    feat_config["resilience"] = self.resilience_context
-                if sharded:
-                    # a sharded and an unsharded run lay artifacts out
-                    # incompatibly, so they must not replay each other
-                    feat_config["shard_size"] = cfg.shard_size
-                    outcome = checkpoint.stage(
-                        "featurize",
-                        config=feat_config,
-                        compute=compute_featurize_sharded,
-                        encode=_encode_sharded_tables,
-                        decode=lambda payloads: _decode_sharded_tables(
-                            payloads, checkpoint.store
+        timings: dict[str, float] = {}
+        resumed: list[str] = []
+        artifacts: dict[str, object] = {}
+        hashes: dict[str, str] = {}
+        for spec in STAGES:
+            with obs.timed(spec.name, task=self.task.name) as t:
+                config = spec.config(self)
+                if checkpoint is None:
+                    out = spec.compute(self, StageInputs(splits, config, artifacts))
+                else:
+                    if spec.inputs:
+                        config["inputs"] = {key: hashes[key] for _, key in spec.inputs}
+                    store = checkpoint.store
+                    job = StageInputs(
+                        splits,
+                        config,
+                        artifacts,
+                        store,
+                        progress=lambda key: ShardProgress(
+                            store.root / f"shards-{spec.name}-{key}.json",
+                            job_key=_job_key({**config, "split": key}),
                         ),
                     )
-                    tables = {
-                        key: handle.to_table()
-                        for key, handle in outcome.value.items()
-                    }
-                    # downstream fingerprints chain over the manifest
-                    # hashes only — each already pins its shard hashes
-                    feat_hashes = {
-                        key: digest
-                        for key, digest in outcome.artifact_hashes.items()
+                    outcome = checkpoint.stage(
+                        spec.name,
+                        config=config,
+                        compute=lambda: spec.compute(self, job),
+                        encode=spec.encode,
+                        # decoding dispatches on artifact kind, so it
+                        # runs below, on the recorded refs
+                        decode=lambda payloads: payloads,
+                    )
+                    # shard artifacts ("text/shard00003") belong to their
+                    # manifest, which already pins their hashes
+                    refs = {
+                        key: ref
+                        for key, ref in outcome.record.artifacts.items()
                         if "/" not in key
                     }
-                else:
-                    outcome = checkpoint.stage(
-                        "featurize",
-                        config=feat_config,
-                        compute=compute_featurize,
-                        encode=_encode_feature_tables,
-                        decode=_decode_feature_tables,
-                    )
-                    tables = outcome.value
-                    feat_hashes = outcome.artifact_hashes
-                if outcome.reused:
-                    resumed.append("featurize")
-        timings["featurize"] = t.duration
-        text_table = tables["text"]
-        image_table = tables["image"]
-        test_table = tables["test"]
+                    hashes.update((key, ref.hash) for key, ref in refs.items())
+                    out = outcome.value
+                    if outcome.reused or outcome.deduped:
+                        out = {
+                            key: spec.decode(store, ref, out[key])
+                            for key, ref in refs.items()
+                        }
+                    if outcome.reused:
+                        resumed.append(spec.name)
+                # sharded featurize hands back shard handles; downstream
+                # stages read whole tables
+                for key, value in out.items():
+                    if isinstance(value, ShardedTable):
+                        value = value.to_table()
+                    artifacts[key] = value
+                if "curation" in out:
+                    t.span.add_counter("n_lfs", len(out["curation"].lfs))
+            timings[spec.name] = t.duration
 
-        # ----- stage B: training-data curation -------------------------
-        curation_hash: dict[str, str] = {}
-        with obs.timed("curate", task=self.task.name) as t:
-            if checkpoint is None:
-                curation = self.curate(text_table, image_table)
-            else:
-                outcome = checkpoint.stage(
-                    "curate",
-                    config={
-                        "curation": asdict(cfg.curation),
-                        # the full graph config: approximation changes
-                        # results, so backend + parameters invalidate
-                        # the checkpoint (exec backends do not)
-                        "graph": asdict(self.graph_config()),
-                        "lf_service_sets": list(cfg.lf_service_sets),
-                        "seed": cfg.seed,
-                        "derived_seed": derive_seed(cfg.seed, "curate"),
-                        "inputs": {
-                            key: feat_hashes[key]
-                            for key in ("text", "image")
-                            if key in feat_hashes
-                        },
-                    },
-                    compute=lambda: self.curate(text_table, image_table),
-                    encode=_encode_curation_stage,
-                    decode=_decode_curation_stage,
-                )
-                curation = outcome.value
-                curation_hash = outcome.artifact_hashes
-                if outcome.reused:
-                    resumed.append("curate")
-            t.span.add_counter("n_lfs", len(curation.lfs))
-        timings["curate"] = t.duration
-
-        # ----- stage C: model training ---------------------------------
-        model_hash: dict[str, str] = {}
-        with obs.timed("train", task=self.task.name) as t:
-            if checkpoint is None:
-                model = self.train(text_table, curation)
-            else:
-                outcome = checkpoint.stage(
-                    "train",
-                    config={
-                        "training": asdict(cfg.training),
-                        "model_service_sets": list(cfg.model_service_sets),
-                        "include_image_features": cfg.include_image_features,
-                        "drop_uncovered": cfg.curation.drop_uncovered,
-                        "derived_seed": derive_seed(cfg.seed, "model"),
-                        "inputs": {**feat_hashes, **curation_hash},
-                    },
-                    compute=lambda: self.train(text_table, curation),
-                    encode=_encode_train_stage,
-                    decode=_decode_train_stage,
-                )
-                model = outcome.value
-                model_hash = outcome.artifact_hashes
-                if outcome.reused:
-                    resumed.append("train")
-        timings["train"] = t.duration
-
-        # ----- stage D: evaluation -------------------------------------
-        with obs.timed("evaluate", task=self.task.name) as t:
-            if checkpoint is None:
-                metrics, scores = self.evaluate(model, test_table)
-            else:
-                outcome = checkpoint.stage(
-                    "evaluate",
-                    config={
-                        "model_service_sets": list(cfg.model_service_sets),
-                        "include_image_features": cfg.include_image_features,
-                        "inputs": {
-                            **{k: v for k, v in feat_hashes.items() if k == "test"},
-                            **model_hash,
-                        },
-                    },
-                    compute=lambda: self.evaluate(model, test_table),
-                    encode=_encode_evaluate_stage,
-                    decode=_decode_evaluate_stage,
-                )
-                metrics, scores = outcome.value
-                if outcome.reused:
-                    resumed.append("evaluate")
-        timings["evaluate"] = t.duration
-
+        curation = artifacts["curation"]
+        metrics, scores = artifacts["evaluation"]
         return PipelineResult(
             metrics=metrics,
             curation=curation,
-            model=model,
+            model=artifacts["model"],
             tables={
-                "text": text_table,
-                "image_unlabeled": curation.image_table_augmented or image_table,
-                "test": test_table,
+                "text": artifacts["text"],
+                "image_unlabeled": curation.image_table_augmented or artifacts["image"],
+                "test": artifacts["test"],
             },
             timings=timings,
             test_scores=scores,
@@ -906,11 +897,12 @@ class CrossModalPipeline:
         """Offline replay of one recorded stage, for lineage repair.
 
         Recomputes stage ``name`` exactly as a checkpointed :meth:`run`
-        would — same derived seeds, same codecs — reading its upstream
-        inputs from ``store`` (the :class:`~repro.runs.repair.RepairEngine`
-        heals those first).  Returns the stage's checkpoint encoding
-        ``{artifact: (kind, payload)}``; the caller verifies the encoded
-        bytes hash to the recorded references before restoring anything.
+        would — same :data:`STAGES` row, so the same derived seeds and
+        codecs — reading its upstream inputs from ``store`` (the
+        :class:`~repro.runs.repair.RepairEngine` heals those first).
+        Returns the stage's checkpoint encoding ``{artifact: (kind,
+        payload)}``; the caller verifies the encoded bytes hash to the
+        recorded references before restoring anything.
 
         The pipeline must be constructed with the run's exact
         configuration, or the rebuilt bytes will (correctly) fail the
@@ -922,101 +914,40 @@ class CrossModalPipeline:
         record = manifest.stages.get(name)
         if record is None:
             raise RepairError(f"run manifest records no stage {name!r} to replay")
-
-        if name == "featurize":
-            config = record.config if isinstance(record.config, dict) else {}
-            if "resilience" in config and self.resilience is None:
-                raise RepairError(
-                    "featurize stage was recorded under a resilience degradation "
-                    "regime; offline repair cannot reproduce injected service "
-                    "faults — re-run the experiment in a fresh --run-dir instead"
-                )
-            shard_size = config.get("shard_size")
-            if shard_size is not None:
-                # rebuild the shards in a scratch store so a divergent
-                # replay leaves no orphans in the real one; the repair
-                # oracle verifies the encoded bytes before restoring
-                import tempfile
-
-                from repro.runs.store import RunStore as _ScratchStore
-                from repro.shards import featurize_corpus_sharded
-
-                seed = derive_seed(self.config.seed, "featurize")
-                with tempfile.TemporaryDirectory(
-                    prefix="repro-shard-replay-"
-                ) as scratch:
-                    scratch_store = _ScratchStore(scratch)
-                    return _encode_sharded_tables(
-                        {
-                            key: featurize_corpus_sharded(
-                                corpus,
-                                list(self.catalog),
-                                scratch_store,
-                                int(shard_size),
-                                seed=seed,
-                                include_labels=labeled,
-                                n_threads=self.config.n_threads,
-                                executor=self.executor,
-                                tag=key,
-                            )
-                            for key, corpus, labeled in (
-                                ("text", splits.text_labeled, True),
-                                ("image", splits.image_unlabeled, False),
-                                ("test", splits.image_test, True),
-                            )
-                        }
-                    )
-            return _encode_feature_tables(
-                {
-                    "text": self.featurize(splits.text_labeled, include_labels=True),
-                    "image": self.featurize(
-                        splits.image_unlabeled, include_labels=False
-                    ),
-                    "test": self.featurize(splits.image_test, include_labels=True),
-                }
+        spec = _STAGES_BY_NAME.get(name)
+        if spec is None:
+            raise RepairError(
+                f"stage {name!r} has no offline replay; repairable stages are "
+                f"{', '.join(_STAGES_BY_NAME)}"
+            )
+        config = record.config if isinstance(record.config, dict) else {}
+        if "resilience" in config and self.resilience is None:
+            raise RepairError(
+                f"{name} stage was recorded under a resilience degradation "
+                f"regime; offline repair cannot reproduce injected service "
+                f"faults — re-run the experiment in a fresh --run-dir instead"
             )
 
-        def upstream_ref(stage: str, key: str):
-            upstream_record = manifest.stages.get(stage)
-            if upstream_record is None:
+        artifacts: dict[str, object] = {}
+        for stage, key in spec.inputs:
+            upstream = manifest.stages.get(stage)
+            if upstream is None:
                 raise RepairError(
                     f"replaying stage {name!r} needs the {stage!r} record, "
                     f"which the manifest lacks"
                 )
-            ref = upstream_record.artifacts.get(key)
+            ref = upstream.artifacts.get(key)
             if ref is None:
                 raise RepairError(
                     f"replaying stage {name!r} needs artifact {key!r} of "
                     f"stage {stage!r}, which its record does not list"
                 )
-            return ref
-
-        def upstream(stage: str, key: str) -> object:
-            return store.get_json(upstream_ref(stage, key))
-
-        def feature_table(key: str) -> FeatureTable:
-            from repro.features.io import table_from_dict
-            from repro.shards.table import MANIFEST_KIND, ShardedTable
-
-            ref = upstream_ref("featurize", key)
-            doc = store.get_json(ref)
-            if ref.kind == MANIFEST_KIND:  # sharded run: materialize
-                return ShardedTable(store, doc).to_table()
-            return table_from_dict(doc)
-
-        if name == "curate":
-            return _encode_curation_stage(
-                self.curate(feature_table("text"), feature_table("image"))
+            artifacts[key] = _STAGES_BY_NAME[stage].decode(
+                store, ref, store.get_json(ref)
             )
-        if name == "train":
-            curation = _decode_curation_stage(
-                {"curation": upstream("curate", "curation")}
-            )
-            return _encode_train_stage(self.train(feature_table("text"), curation))
-        if name == "evaluate":
-            model = _decode_train_stage({"model": upstream("train", "model")})
-            return _encode_evaluate_stage(self.evaluate(model, feature_table("test")))
-        raise RepairError(
-            f"stage {name!r} has no offline replay; repairable stages are "
-            f"featurize, curate, train, and evaluate"
-        )
+        # sharded featurize rebuilds its shards in a scratch store, so a
+        # divergent replay leaves no orphans in the real one; the repair
+        # oracle verifies the encoded bytes before restoring
+        with tempfile.TemporaryDirectory(prefix="repro-stage-replay-") as scratch:
+            job = StageInputs(splits, config, artifacts, RunStore(scratch))
+            return spec.encode(spec.compute(self, job))

@@ -300,6 +300,9 @@ def _validate_args(
         parser.error(f"--requests must be >= 1, got {args.requests}")
     if args.shard_size is not None and args.shard_size < 1:
         parser.error(f"--shard-size must be >= 1, got {args.shard_size}")
+    if args.shard_size is not None and not args.run_dir:
+        parser.error("--shard-size requires --run-dir: shard artifacts live "
+                     "in the run's content-hashed store")
     for flag, values, minimum in (
         ("--sizes", args.sizes, 1),
         ("--shard-sizes", args.shard_sizes, 1),

@@ -35,6 +35,7 @@ import numpy as np
 
 import repro
 from repro.core.exceptions import CheckpointError
+from repro.core.pipeline import split_corpora
 from repro.core.rng import derive_seed
 from repro.runs.crash import CRASH_AT_ENV, CRASH_EXIT_CODE
 from repro.experiments.common import ExperimentContext
@@ -190,20 +191,12 @@ def run_chaos(
         wrapped = injector.wrap_all(resources)
         policy = _chaos_policy(wrapped, seed)
 
-        tables = {}
-        for name, corpus, labeled in (
-            ("text", ctx.splits.text_labeled, True),
-            ("image", ctx.splits.image_unlabeled, False),
-            ("test", ctx.splits.image_test, True),
-        ):
-            tables[name] = featurize_corpus(
-                corpus,
-                wrapped,
-                seed=feat_seed,
-                include_labels=labeled,
-                n_threads=pipeline.config.n_threads,
-                policy=policy,
+        tables = {
+            name: featurize_corpus(
+                corpus, wrapped, seed=feat_seed, include_labels=labeled, policy=policy
             )
+            for name, corpus, labeled in split_corpora(ctx.splits)
+        }
 
         curation = pipeline.curate(tables["text"], tables["image"])
         scores = []

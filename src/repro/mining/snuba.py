@@ -45,6 +45,9 @@ class SnubaReport:
     n_candidates: int = 0
     n_rounds: int = 0
     n_selected: int = 0
+    #: candidate trial merges scored — the machine-independent cost of
+    #: the greedy re-scoring loop
+    n_trials: int = 0
     wall_clock_seconds: float = 0.0
     objective_trace: list[float] | None = None
 
@@ -230,6 +233,7 @@ class SnubaGenerator:
                 # §4.3 declined to pay)
                 best_index = -1
                 best_trial = best_objective
+                report.n_trials += len(remaining)
                 for index, candidate in enumerate(remaining):
                     trial_votes = committee_votes.copy()
                     untouched = trial_votes == 0
@@ -251,6 +255,7 @@ class SnubaGenerator:
             t.span.add_counter("candidates", report.n_candidates)
             t.span.add_counter("rounds", report.n_rounds)
             t.span.add_counter("selected", report.n_selected)
+            t.span.add_counter("trials", report.n_trials)
         report.wall_clock_seconds = t.duration
         self.report_ = report
         return [candidate.lf for candidate in selected]

@@ -9,7 +9,9 @@ so the manifest never references bytes that aren't on disk.
 
 :class:`PartitionCheckpointer` is the same idea one level down, for
 MapReduce: each completed partition's mapped output is persisted, so a
-killed job recomputes only the partitions that hadn't finished.
+killed job recomputes only the partitions that hadn't finished.  Its
+completed-unit file is a :class:`ProgressManifest`, which the sharded
+stages' ``ShardProgress`` shares.
 
 Every save / skip emits :mod:`repro.obs` spans and counters
 (``runs.stage.save``, ``runs.stage.skip``, ``runs.stages_skipped`` …)
@@ -37,7 +39,12 @@ from repro.runs.manifest import RunManifest, StageRecord, stage_fingerprint
 from repro.runs.repair import verify_and_restore
 from repro.runs.store import ArtifactRef, RunStore
 
-__all__ = ["StageOutcome", "RunCheckpointer", "PartitionCheckpointer"]
+__all__ = [
+    "StageOutcome",
+    "RunCheckpointer",
+    "PartitionCheckpointer",
+    "ProgressManifest",
+]
 
 #: encode() returns {artifact_name: (kind, json_payload)}
 Encoded = dict[str, tuple[str, Any]]
@@ -190,97 +197,67 @@ class RunCheckpointer:
             return StageOutcome(value=value, record=record, reused=True)
 
         t0 = time.perf_counter()
-        if self.deduper is not None:
+
+        def compute_and_store() -> tuple[Any, dict[str, ArtifactRef]]:
+            value = compute()
+            with obs.span("runs.stage.save", stage=name) as sp:
+                refs = {
+                    key: self._store_payload(kind, payload)
+                    for key, (kind, payload) in encode(value).items()
+                }
+                sp.add_counter("artifacts_saved", len(refs))
+            return value, refs
+
+        deduped = False
+        if self.deduper is None:
+            value, refs = compute_and_store()
+        else:
             # single-flight across concurrent runs sharing this store:
             # the first run with this fingerprint computes and persists,
             # the rest decode its artifacts (same path as a replay)
-            def _compute_and_store() -> tuple[Any, dict[str, ArtifactRef]]:
-                value = compute()
-                with obs.span("runs.stage.save", stage=name) as sp:
-                    refs = {
-                        key: self._store_payload(kind, payload)
-                        for key, (kind, payload) in encode(value).items()
-                    }
-                    sp.add_counter("artifacts_saved", len(refs))
-                return value, refs
-
-            outcome = self.deduper.run(fingerprint, _compute_and_store)
-            if outcome.hit:
+            outcome = self.deduper.run(fingerprint, compute_and_store)
+            refs, deduped = outcome.refs, outcome.hit
+            if deduped:
                 with obs.span("runs.stage.dedup", stage=name) as sp:
-                    payloads = self._stage_payloads(name, outcome.refs, compute, encode)
+                    payloads = self._stage_payloads(name, refs, compute, encode)
                     value = decode(payloads)
                     sp.add_counter("artifacts_reused", len(payloads))
-                obs.add_counter("runs.stages_deduped")
                 self.deduped_stages.append(name)
             else:
                 value = outcome.value
-                obs.add_counter("runs.stages_computed")
-            record = self.manifest.record_stage(
-                name,
-                fingerprint,
-                config,
-                outcome.refs,
-                wall_time_s=time.perf_counter() - t0,
-            )
-            crash_boundary(f"stage:{name}")
-            return StageOutcome(
-                value=value, record=record, reused=False, deduped=outcome.hit
-            )
-
-        value = compute()
-        with obs.span("runs.stage.save", stage=name) as sp:
-            refs = {
-                key: self._store_payload(kind, payload)
-                for key, (kind, payload) in encode(value).items()
-            }
-            record = self.manifest.record_stage(
-                name,
-                fingerprint,
-                config,
-                refs,
-                wall_time_s=time.perf_counter() - t0,
-            )
-            sp.add_counter("artifacts_saved", len(refs))
-        obs.add_counter("runs.stages_computed")
+        obs.add_counter("runs.stages_deduped" if deduped else "runs.stages_computed")
+        record = self.manifest.record_stage(
+            name, fingerprint, config, refs, wall_time_s=time.perf_counter() - t0
+        )
         crash_boundary(f"stage:{name}")
-        return StageOutcome(value=value, record=record, reused=False)
+        return StageOutcome(value=value, record=record, reused=False, deduped=deduped)
 
 
-class PartitionCheckpointer:
-    """Completed-partition checkpointing for a MapReduce job.
+class ProgressManifest:
+    """Atomic completed-unit manifest for one restartable job.
 
-    Partition payloads (the mapped-and-combined group dict plus local
-    counters) are pickled into a content-hashed :class:`RunStore`; a
-    small ``partitions.json`` manifest maps partition index → artifact
-    reference.  ``job_key`` identifies the job configuration — an
-    existing manifest written under a different key is ignored and
-    replaced, since its partitions belong to a different computation.
-
-    Thread-safe: partitions may complete on worker threads; manifest
-    updates serialize through a lock and each rewrite is atomic.
+    A JSON file mapping unit index -> entry under the :attr:`SECTION`
+    key, rewritten atomically after every completed unit.  ``job_key``
+    fingerprints the job configuration — an existing file written under
+    a different key (or format version) belongs to a different
+    computation and is ignored, so resuming with a changed config
+    recomputes from scratch instead of mixing incompatible units.
     """
 
-    FILENAME = "partitions.json"
     FORMAT_VERSION = 1
-    KIND = "mapreduce.partition.pkl"
+    SECTION = "units"
 
-    def __init__(self, root: str | Path, job_key: str) -> None:
-        self.root = Path(root)
+    def __init__(self, path: str | Path, job_key: str) -> None:
+        self.path = Path(path)
         self.job_key = str(job_key)
-        self.store = RunStore(self.root)
-        self._path = self.root / self.FILENAME
-        self._lock = threading.Lock()
-        self._entries: dict[int, ArtifactRef] = {}
-        self._load_manifest()
-
-    def _load_manifest(self) -> None:
-        if not self._path.exists():
+        self._entries: dict[int, Any] = {}
+        if not self.path.exists():
             return
         try:
-            data = json.loads(self._path.read_text(encoding="utf-8"))
+            data = json.loads(self.path.read_text(encoding="utf-8"))
         except json.JSONDecodeError as exc:
             raise IntegrityError(
-                f"partition manifest {self._path} is not valid JSON: {exc}; "
+                f"progress manifest {self.path} is not valid JSON ({exc}); "
                 f"it is written atomically, so this indicates external "
                 f"modification — delete it to recompute the job"
             ) from exc
@@ -291,22 +268,63 @@ class PartitionCheckpointer:
         ):
             return  # different job or version: start fresh
         self._entries = {
-            int(index): ArtifactRef.from_dict(ref)
-            for index, ref in data.get("partitions", {}).items()
+            int(index): self._decode_entry(entry)
+            for index, entry in data.get(self.SECTION, {}).items()
         }
 
-    def _save_manifest(self) -> None:
+    def _decode_entry(self, data: Any) -> Any:
+        return dict(data)
+
+    def _encode_entry(self, entry: Any) -> Any:
+        return entry
+
+    def _record(self, index: int, entry: Any) -> None:
+        self._entries[index] = entry
         atomic_write_json(
-            self._path,
+            self.path,
             {
                 "format_version": self.FORMAT_VERSION,
                 "job_key": self.job_key,
-                "partitions": {
-                    str(i): ref.to_dict() for i, ref in sorted(self._entries.items())
+                self.SECTION: {
+                    str(i): self._encode_entry(e)
+                    for i, e in sorted(self._entries.items())
                 },
             },
             indent=2,
         )
+
+    def completed(self) -> list[int]:
+        """Indices of completed units (sorted)."""
+        return sorted(self._entries)
+
+
+class PartitionCheckpointer(ProgressManifest):
+    """Completed-partition checkpointing for a MapReduce job.
+
+    Partition payloads (the mapped-and-combined group dict plus local
+    counters) are pickled into a content-hashed :class:`RunStore`; a
+    small ``partitions.json`` progress manifest maps partition index →
+    artifact reference.
+
+    Thread-safe: partitions may complete on worker threads; manifest
+    updates serialize through a lock and each rewrite is atomic.
+    """
+
+    FILENAME = "partitions.json"
+    SECTION = "partitions"
+    KIND = "mapreduce.partition.pkl"
+
+    def __init__(self, root: str | Path, job_key: str) -> None:
+        self.root = Path(root)
+        self.store = RunStore(self.root)
+        self._lock = threading.Lock()
+        super().__init__(self.root / self.FILENAME, job_key)
+
+    def _decode_entry(self, data: Any) -> ArtifactRef:
+        return ArtifactRef.from_dict(data)
+
+    def _encode_entry(self, entry: ArtifactRef) -> dict:
+        return entry.to_dict()
 
     def load(self, index: int) -> Any | None:
         """The checkpointed payload of partition ``index``, or ``None``.
@@ -340,10 +358,5 @@ class PartitionCheckpointer:
         data = pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL)
         ref = self.store.put_bytes(self.KIND, data)
         with self._lock:
-            self._entries[index] = ref
-            self._save_manifest()
+            self._record(index, ref)
         obs.add_counter("runs.partitions_saved")
-
-    def completed(self) -> list[int]:
-        """Indices of checkpointed partitions (sorted)."""
-        return sorted(self._entries)

@@ -25,12 +25,12 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from repro.core.exceptions import CheckpointError, ConfigurationError
-from repro.features.io import table_from_dict
 from repro.features.table import FeatureTable
 from repro.runs import codecs
 from repro.runs.manifest import RunManifest, StageRecord
 from repro.runs.repair import RepairEngine
-from repro.runs.store import ArtifactRef, RunStore
+from repro.runs.store import RunStore
+from repro.shards.table import load_feature_table
 
 __all__ = ["ServingArtifacts"]
 
@@ -90,33 +90,19 @@ class ServingArtifacts:
         """
         manifest = RunManifest.load(run_dir)
         store = repair.store if repair is not None else RunStore(run_dir)
-
-        def read_json(ref: ArtifactRef) -> object:
-            if repair is not None:
-                return repair.read_json(ref)
-            return store.get_json(ref)
-
+        read_json = repair.read_json if repair is not None else store.get_json
         featurize = _complete_stage(manifest, "featurize")
         train = _complete_stage(manifest, "train")
 
         # sharded runs list one shard-manifest artifact per split plus
-        # its per-shard artifacts (keys like "text/shard00003"); serving
-        # wants materialized tables either way, so dispatch on kind and
-        # let the manifest handle pull its shards through the same
-        # (repairing, verifying) reader
-        from repro.shards.table import MANIFEST_KIND, ShardedTable
-
-        reader = repair if repair is not None else None
-        tables: dict[str, FeatureTable] = {}
-        for name, ref in featurize.artifacts.items():
-            if "/" in name:
-                continue  # a shard of some split, owned by its manifest
-            if ref.kind == MANIFEST_KIND:
-                tables[name] = ShardedTable(
-                    store, read_json(ref), reader=reader
-                ).to_table()
-            else:
-                tables[name] = table_from_dict(read_json(ref))
+        # its per-shard artifacts (keys like "text/shard00003"), which
+        # the manifest pulls through the same (repairing, verifying)
+        # reader
+        tables = {
+            name: load_feature_table(store, ref, reader=repair)
+            for name, ref in featurize.artifacts.items()
+            if "/" not in name
+        }
         model_ref = train.artifacts.get("model")
         if model_ref is None:
             raise CheckpointError(

@@ -29,13 +29,12 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Any
 
 import numpy as np
 
 import repro.obs as obs
-from repro.core.atomicio import atomic_write_json, canonical_json, sha256_hex
+from repro.core.atomicio import canonical_json, sha256_hex
 from repro.core.exceptions import IntegrityError
 from repro.dataflow.mapreduce import (
     Combiner,
@@ -52,10 +51,10 @@ from repro.labeling.lf import LabelingFunction
 from repro.labeling.matrix import LabelMatrix, apply_lfs
 from repro.resources.base import OrganizationalResource
 from repro.resources.featurize import featurize_corpus
+from repro.runs.checkpoint import ProgressManifest
 from repro.runs.crash import crash_boundary
 from repro.runs.store import ArtifactRef, RunStore
 from repro.shards.corpus import ShardedCorpus
-from repro.shards.layout import shard_ranges
 from repro.shards.table import ShardedTable, ShardedTableWriter
 
 __all__ = [
@@ -73,72 +72,25 @@ VOTES_MANIFEST_KIND = "votes_manifest"
 _VOTES_MAGIC = b"RSHV\x01\n"
 
 
-class ShardProgress:
+class ShardProgress(ProgressManifest):
     """Atomic completed-shard manifest for one sharded stage.
 
     The shard-level sibling of
-    :class:`~repro.runs.checkpoint.PartitionCheckpointer`: a JSON file
-    mapping shard index -> manifest entry (artifact refs + row range),
-    rewritten atomically after every completed shard.  ``job_key``
-    fingerprints the stage configuration — an existing file written
-    under a different key belongs to a different computation and is
-    ignored, so resuming with changed config recomputes from scratch
-    instead of mixing incompatible shards.
+    :class:`~repro.runs.checkpoint.PartitionCheckpointer`: shard index
+    -> manifest entry (artifact refs + row range), rewritten atomically
+    after every completed shard.  ``job_key`` fingerprints the stage
+    configuration, so resuming with changed config recomputes from
+    scratch instead of mixing incompatible shards.
     """
 
-    FORMAT_VERSION = 1
-
-    def __init__(self, path: str | Path, job_key: str) -> None:
-        self.path = Path(path)
-        self.job_key = str(job_key)
-        self._entries: dict[int, dict] = {}
-        self._load()
-
-    def _load(self) -> None:
-        if not self.path.exists():
-            return
-        try:
-            data = json.loads(self.path.read_text(encoding="utf-8"))
-        except json.JSONDecodeError as exc:
-            raise IntegrityError(
-                f"shard progress manifest {self.path} is not valid JSON "
-                f"({exc}); it is written atomically, so this indicates "
-                f"external modification — delete it to recompute the stage"
-            ) from exc
-        if (
-            not isinstance(data, dict)
-            or data.get("format_version") != self.FORMAT_VERSION
-            or data.get("job_key") != self.job_key
-        ):
-            return  # different stage configuration or version: start fresh
-        self._entries = {
-            int(index): dict(entry)
-            for index, entry in data.get("shards", {}).items()
-        }
-
-    def _save(self) -> None:
-        atomic_write_json(
-            self.path,
-            {
-                "format_version": self.FORMAT_VERSION,
-                "job_key": self.job_key,
-                "shards": {
-                    str(i): entry for i, entry in sorted(self._entries.items())
-                },
-            },
-            indent=2,
-        )
+    SECTION = "shards"
 
     def get(self, index: int) -> dict | None:
         return self._entries.get(index)
 
     def save(self, index: int, entry: dict) -> None:
-        self._entries[index] = dict(entry)
-        self._save()
+        self._record(index, dict(entry))
         obs.add_counter("shards.progress_saved")
-
-    def completed(self) -> list[int]:
-        return sorted(self._entries)
 
 
 def _job_key(payload: dict) -> str:

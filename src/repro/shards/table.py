@@ -19,7 +19,7 @@ from collections.abc import Iterator
 from typing import Any
 
 from repro.core.exceptions import CheckpointError, SchemaError
-from repro.features.io import _spec_from_dict, _spec_to_dict
+from repro.features.io import _spec_from_dict, _spec_to_dict, table_from_dict
 from repro.features.schema import FeatureSchema
 from repro.features.table import FeatureTable
 from repro.shards.codec import (
@@ -37,6 +37,7 @@ __all__ = [
     "DENSE_KIND",
     "ShardedTable",
     "ShardedTableWriter",
+    "load_feature_table",
 ]
 
 MANIFEST_KIND = "shard_manifest"
@@ -290,3 +291,26 @@ class ShardedTableWriter:
         for index, (start, stop) in enumerate(writer.ranges):
             writer.add_shard(index, table.select_rows(range(start, stop)))
         return writer.finish()
+
+
+def load_feature_table(
+    store: RunStore,
+    ref: ArtifactRef,
+    doc: Any = None,
+    reader: Any | None = None,
+) -> FeatureTable:
+    """Materialize one featurize-stage artifact as a :class:`FeatureTable`.
+
+    A shard manifest is materialized through :class:`ShardedTable`; any
+    other kind is a whole :func:`~repro.features.io.table_to_dict`
+    payload.  ``doc`` is the artifact's payload when the caller already
+    read it; otherwise it is read through ``reader`` (see the module
+    docstring), which also reads the shards of a manifest.
+    """
+    if reader is None:
+        reader = _StoreReader(store)
+    if doc is None:
+        doc = reader.read_json(ref)
+    if ref.kind == MANIFEST_KIND:
+        return ShardedTable(store, doc, reader=reader).to_table()
+    return table_from_dict(doc)

@@ -173,3 +173,15 @@ def test_evaluate_requires_labels(tiny_pipeline, tiny_text_table, tiny_curation,
     model = tiny_pipeline.train(tiny_text_table, tiny_curation)
     with pytest.raises(ConfigurationError):
         tiny_pipeline.evaluate(model, tiny_image_table)
+
+
+def test_shard_size_without_checkpoint_rejected_up_front(
+    tiny_world, tiny_task, tiny_catalog
+):
+    """Sharded featurize writes into the run's store, so ``shard_size``
+    without a checkpoint is a configuration error — raised before any
+    stage runs (the splits are never touched)."""
+    config = PipelineConfig(seed=7, shard_size=97)
+    pipeline = CrossModalPipeline(tiny_world, tiny_task, tiny_catalog, config)
+    with pytest.raises(ConfigurationError, match="checkpointed run"):
+        pipeline.run(splits=None)

@@ -89,22 +89,17 @@ def test_report_populated():
 
 def test_iterative_cost_exceeds_one_pass_mining():
     """The structural claim behind §4.3: greedy re-scoring rounds cost
-    more than one-pass itemset mining on the same dev table."""
-    import time
-
+    more than one-pass itemset mining on the same dev table, counted in
+    candidates scored rather than wall time."""
     from repro.mining.lf_generator import MinedLFGenerator
 
     table = _dev_table(n=1500, seed=2)
-    t0 = time.perf_counter()
-    MinedLFGenerator().generate(table)
-    miner_time = time.perf_counter() - t0
+    miner = MinedLFGenerator()
+    miner.generate(table)
 
     generator = SnubaGenerator(max_heuristics=20)
     generator.generate(table)
-    snuba_time = generator.report_.wall_clock_seconds
-    # not asserting a strict ratio (machine noise), just that snuba is
-    # not radically cheaper, which would falsify the paper's rationale
-    assert snuba_time > 0.3 * miner_time
+    assert generator.report_.n_trials > miner.report_.n_candidates_considered
 
 
 def test_validation():

@@ -38,7 +38,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.runs.manifest import RunManifest
 from repro.core.exceptions import ConfigurationError, RepairError
 from repro.core.rng import derive_seed, spawn
-from repro.exec import ExecutorConfig
 from repro.datagen.corpus import Corpus, CorpusSplits
 from repro.datagen.entities import Modality
 from repro.datagen.world import TaskRuntime, World
@@ -353,15 +352,6 @@ class CrossModalPipeline:
         #: injected executor (e.g. a multi-tenant fair-queue lane) wins
         #: over the config
         self.executor = executor if executor is not None else self.config.executor
-        # LF closures capture mined predicates and cannot pickle, so LF
-        # application caps out at the thread backend even when the rest
-        # of the pipeline runs on processes.
-        if self.executor.backend == "process":
-            self._lf_executor = ExecutorConfig(
-                backend="thread", workers=self.executor.workers
-            )
-        else:
-            self._lf_executor = self.executor
 
     # ------------------------------------------------------------------
     # step A: feature generation
@@ -504,8 +494,8 @@ class CrossModalPipeline:
                 "enable mining or propagation, or loosen thresholds"
             )
 
-        matrix = apply_lfs(lfs, image_aug, executor=self._lf_executor)
-        dev_matrix = apply_lfs(lfs, dev_aug, executor=self._lf_executor)
+        matrix = apply_lfs(lfs, image_aug, executor=self.executor)
+        dev_matrix = apply_lfs(lfs, dev_aug, executor=self.executor)
         if cfg.use_generative_model:
             # anchor the LF conditional tables to their old-modality
             # dev-set estimates (§4.2: labeled data of existing

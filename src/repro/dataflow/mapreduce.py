@@ -15,8 +15,9 @@ Determinism: values arrive at the reducer in (partition, input-order)
 order regardless of scheduling, so jobs are reproducible — and since
 every partition is an independent pure task, the job computes the
 byte-identical result on the serial, thread, and process backends of
-:mod:`repro.exec` (``executor=`` selects one; the legacy ``n_threads``
-maps onto the thread backend).
+:mod:`repro.exec` (``executor=`` selects one).  Every backend runs the
+same dispatch path: picklable tasks through
+:meth:`~repro.exec.Executor.imap_ordered`.
 
 Robustness: ``record_retries`` re-runs a failing mapper call on the
 same record (for mappers that call flaky services), and
@@ -33,8 +34,8 @@ no tracer.
 Process-backend constraints: the mapper/combiner (and records) must be
 picklable — module-level functions, not closures.  With a partition
 checkpoint, the coordinator persists each partition's payload as its
-result arrives (in partition order), so a killed process-backend run
-resumes bit-identically, exactly like the threaded path.
+result arrives (in partition order), so a run killed on any backend
+leaves a checkpointed prefix and resumes bit-identically.
 """
 
 from __future__ import annotations
@@ -46,7 +47,7 @@ from typing import TYPE_CHECKING, Any, TypeVar
 
 import repro.obs as obs
 from repro.core.exceptions import ConfigurationError, RecordError
-from repro.exec import Executor, ExecutorConfig, as_executor, iter_chunks
+from repro.exec import Executor, ExecutorConfig, as_executor
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for annotations
     from repro.runs.checkpoint import PartitionCheckpointer
@@ -89,46 +90,11 @@ def _call_with_retries(
     ) from last_exc
 
 
-def _map_partition_core(
-    mapper: Mapper,
-    combiner: Combiner | None,
-    partition: list[tuple[int, Any]],
-    record_retries: int,
-    skip_bad_records: bool,
-) -> tuple[dict[Key, list[Any]], Counter]:
-    """Map one partition of (index, record) pairs; pure function of its
-    arguments, shared verbatim by every execution backend so their
-    outputs cannot diverge."""
-    counts: Counter = Counter()
-    grouped: dict[Key, list[Any]] = defaultdict(list)
-    for index, record in partition:
-        ok, pairs = _call_with_retries(
-            lambda r: list(mapper(r)),
-            record,
-            index,
-            record_retries,
-            skip_bad_records,
-            counts,
-        )
-        if not ok:
-            continue
-        counts["records_mapped"] += 1
-        for key, value in pairs:
-            grouped[key].append(value)
-            counts["map_output_values"] += 1
-    if combiner is not None:
-        combined: dict[Key, list[Any]] = {}
-        for key, values in grouped.items():
-            counts["combiner_values_in"] += len(values)
-            combined[key] = list(combiner(key, values))
-            counts["combiner_values_out"] += len(combined[key])
-        grouped = combined
-    return dict(grouped), counts
-
-
 @dataclass(frozen=True)
 class _PartitionTask:
-    """Picklable partition-map task shipped to process-pool workers."""
+    """Picklable partition-map task: maps one partition of (index,
+    record) pairs to (grouped output, local counters).  Every backend
+    runs this same pure task, so their outputs cannot diverge."""
 
     mapper: Mapper
     combiner: Combiner | None
@@ -138,45 +104,58 @@ class _PartitionTask:
     def __call__(
         self, partition: list[tuple[int, Any]]
     ) -> tuple[dict[Key, list[Any]], Counter]:
-        return _map_partition_core(
-            self.mapper,
-            self.combiner,
-            partition,
-            self.record_retries,
-            self.skip_bad_records,
-        )
+        counts: Counter = Counter()
+        grouped: dict[Key, list[Any]] = defaultdict(list)
+        for index, record in partition:
+            ok, pairs = _call_with_retries(
+                lambda r: list(self.mapper(r)),
+                record,
+                index,
+                self.record_retries,
+                self.skip_bad_records,
+                counts,
+            )
+            if not ok:
+                continue
+            counts["records_mapped"] += 1
+            for key, value in pairs:
+                grouped[key].append(value)
+                counts["map_output_values"] += 1
+        if self.combiner is not None:
+            combined: dict[Key, list[Any]] = {}
+            for key, values in grouped.items():
+                counts["combiner_values_in"] += len(values)
+                combined[key] = list(self.combiner(key, values))
+                counts["combiner_values_out"] += len(combined[key])
+            grouped = combined
+        return dict(grouped), counts
 
 
 @dataclass(frozen=True)
-class _MapChunkTask:
-    """Picklable map-only task over one contiguous chunk of (index,
-    record) pairs; returns ``[(value, counts), ...]`` in chunk order."""
+class _MapRecordTask:
+    """Picklable map-only task over one (index, record) pair; returns
+    ``(value, counts)`` with ``error_value`` for a skipped record."""
 
     fn: Callable[[Any], Any]
     record_retries: int
     skip_bad_records: bool
     error_value: Any
 
-    def __call__(
-        self, chunk: list[tuple[int, Any]]
-    ) -> list[tuple[Any, Counter]]:
-        out: list[tuple[Any, Counter]] = []
-        for index, record in chunk:
-            local: Counter = Counter()
-            ok, value = _call_with_retries(
-                self.fn,
-                record,
-                index,
-                self.record_retries,
-                self.skip_bad_records,
-                local,
-            )
-            if not ok:
-                out.append((self.error_value, local))
-                continue
-            local["records_mapped"] += 1
-            out.append((value, local))
-        return out
+    def __call__(self, indexed: tuple[int, Any]) -> tuple[Any, Counter]:
+        index, record = indexed
+        local: Counter = Counter()
+        ok, value = _call_with_retries(
+            self.fn,
+            record,
+            index,
+            self.record_retries,
+            self.skip_bad_records,
+            local,
+        )
+        if not ok:
+            return self.error_value, local
+        local["records_mapped"] += 1
+        return value, local
 
 
 @dataclass
@@ -187,7 +166,6 @@ class MapReduceJob:
     reducer: Reducer
     combiner: Combiner | None = None
     n_partitions: int = 8
-    n_threads: int = 1
     record_retries: int = 0
     skip_bad_records: bool = False
     counters: dict[str, int] = field(default_factory=dict)
@@ -196,15 +174,12 @@ class MapReduceJob:
     #: (same checkpoint ``job_key``) loads finished partitions from disk
     checkpoint: PartitionCheckpointer | None = None
     #: execution backend for the map phase: an :class:`Executor`, an
-    #: :class:`ExecutorConfig`, a backend name, or ``None`` (legacy
-    #: ``n_threads`` behaviour)
-    executor: Executor | ExecutorConfig | str | None = None
+    #: :class:`ExecutorConfig`, or ``None`` (serial)
+    executor: Executor | ExecutorConfig | None = None
 
     def __post_init__(self) -> None:
         if self.n_partitions < 1:
             raise ConfigurationError("n_partitions must be >= 1")
-        if self.n_threads < 1:
-            raise ConfigurationError("n_threads must be >= 1")
         if self.record_retries < 0:
             raise ConfigurationError("record_retries must be >= 0")
 
@@ -215,64 +190,21 @@ class MapReduceJob:
             parts[i % n].append((i, record))
         return parts
 
-    def _map_partition(
-        self, partition: list[tuple[int, Any]], partition_index: int = 0
-    ) -> tuple[dict[Key, list[Any]], Counter]:
-        """Map one partition; returns (grouped output, local counters).
-
-        Local counters are merged by the coordinator after all
-        partitions finish, so no counts are lost to thread races.  A
-        traced run gets one span per partition (attached to the tracer
-        root when mapped on a worker thread) carrying those counters.
-        """
-        with obs.span(
-            "mapreduce.partition",
-            partition=partition_index,
-            n_records=len(partition),
-        ) as sp:
-            grouped, counts = _map_partition_core(
-                self.mapper,
-                self.combiner,
-                partition,
-                self.record_retries,
-                self.skip_bad_records,
-            )
-            for name, value in counts.items():
-                sp.add_counter(name, value)
-        return grouped, counts
-
-    def _map_partition_durable(
-        self, partition: list[tuple[int, Any]], partition_index: int
-    ) -> tuple[dict[Key, list[Any]], Counter]:
-        """Checkpoint-aware partition map: load a completed partition's
-        payload if the checkpoint has one, else map it and persist the
-        result before crossing the crash boundary."""
-        if self.checkpoint is None:
-            return self._map_partition(partition, partition_index)
-        cached = self.checkpoint.load(partition_index)
-        if cached is not None:
-            return cached
-        from repro.runs.crash import crash_boundary
-
-        grouped, counts = self._map_partition(partition, partition_index)
-        self.checkpoint.save(partition_index, (grouped, counts))
-        crash_boundary(f"partition:{partition_index}")
-        return grouped, counts
-
-    def _run_partitions_process(
+    def _map_partitions(
         self,
         executor: Executor,
         partitions: list[list[tuple[int, Any]]],
     ) -> list[tuple[dict[Key, list[Any]], Counter]]:
-        """Map partitions on a process pool.
+        """Map partitions on ``executor``, one path for every backend.
 
-        Workers run the pure partition task; the coordinator replays
-        checkpointed partitions without dispatching them, records one
-        ``mapreduce.partition`` span per computed partition (carrying
-        the worker's counters, so traced accounting is complete), and
-        persists each payload as it arrives — in partition order — so a
-        kill mid-job leaves a resumable prefix exactly like the
-        threaded path.
+        The coordinator replays checkpointed partitions without
+        dispatching them; pending ones run as pure
+        :class:`_PartitionTask` calls.  As each result arrives — in
+        partition order — the coordinator records its
+        ``mapreduce.partition`` span (carrying the partition's counters,
+        so traced accounting is complete), persists the payload, and
+        crosses the crash boundary, so a kill mid-job leaves a resumable
+        prefix on every backend.
         """
         from repro.runs.crash import crash_boundary
 
@@ -287,36 +219,35 @@ class MapReduceJob:
             else:
                 pending.append(index)
 
-        if pending:
-            task = _PartitionTask(
-                mapper=self.mapper,
-                combiner=self.combiner,
-                record_retries=self.record_retries,
-                skip_bad_records=self.skip_bad_records,
-            )
-            mapped = executor.imap_ordered(
-                task, [partitions[i] for i in pending], chunk_size=1
-            )
-            for index, (grouped, counts) in zip(pending, mapped):
-                with obs.span(
-                    "mapreduce.partition",
-                    partition=index,
-                    n_records=len(partitions[index]),
-                    backend=executor.backend,
-                ) as sp:
-                    for name, value in counts.items():
-                        sp.add_counter(name, value)
-                if self.checkpoint is not None:
-                    self.checkpoint.save(index, (grouped, counts))
-                    crash_boundary(f"partition:{index}")
-                results[index] = (grouped, counts)
+        task = _PartitionTask(
+            mapper=self.mapper,
+            combiner=self.combiner,
+            record_retries=self.record_retries,
+            skip_bad_records=self.skip_bad_records,
+        )
+        mapped = executor.imap_ordered(
+            task, [partitions[i] for i in pending], chunk_size=1
+        )
+        for index, (grouped, counts) in zip(pending, mapped):
+            with obs.span(
+                "mapreduce.partition",
+                partition=index,
+                n_records=len(partitions[index]),
+                backend=executor.backend,
+            ) as sp:
+                for name, value in counts.items():
+                    sp.add_counter(name, value)
+            if self.checkpoint is not None:
+                self.checkpoint.save(index, (grouped, counts))
+                crash_boundary(f"partition:{index}")
+            results[index] = (grouped, counts)
         return [results[i] for i in range(len(partitions))]
 
     def run(self, records: Sequence[Any]) -> dict[Key, Any]:
         """Execute the job; returns {key: reducer output} in key order."""
         partitions = self._partitions(list(records))
         self.counters["input_records"] = len(records)
-        executor = as_executor(self.executor, self.n_threads)
+        executor = as_executor(self.executor)
 
         with obs.span(
             "mapreduce.job",
@@ -325,18 +256,7 @@ class MapReduceJob:
             backend=executor.backend,
             workers=executor.workers,
         ) as job_span:
-            if executor.backend == "process":
-                results = self._run_partitions_process(executor, partitions)
-            elif executor.backend == "serial" or len(partitions) == 1:
-                results = [
-                    self._map_partition_durable(p, i)
-                    for i, p in enumerate(partitions)
-                ]
-            else:
-                results = executor.map_ordered(
-                    lambda ip: self._map_partition_durable(ip[1], ip[0]),
-                    list(enumerate(partitions)),
-                )
+            results = self._map_partitions(executor, partitions)
             mapped = [grouped for grouped, _ in results]
             output = self._shuffle_and_reduce(results, mapped)
             # per-record counters already live on the partition spans;
@@ -392,11 +312,10 @@ def run_mapreduce(
     reducer: Reducer,
     combiner: Combiner | None = None,
     n_partitions: int = 8,
-    n_threads: int = 1,
     record_retries: int = 0,
     skip_bad_records: bool = False,
     checkpoint: PartitionCheckpointer | None = None,
-    executor: Executor | ExecutorConfig | str | None = None,
+    executor: Executor | ExecutorConfig | None = None,
 ) -> dict[Key, Any]:
     """One-shot convenience wrapper around :class:`MapReduceJob`."""
     job = MapReduceJob(
@@ -404,7 +323,6 @@ def run_mapreduce(
         reducer=reducer,
         combiner=combiner,
         n_partitions=n_partitions,
-        n_threads=n_threads,
         record_retries=record_retries,
         skip_bad_records=skip_bad_records,
         checkpoint=checkpoint,
@@ -416,12 +334,11 @@ def run_mapreduce(
 def run_map(
     records: Sequence[Any],
     fn: Callable[[Any], Any],
-    n_threads: int = 1,
     record_retries: int = 0,
     skip_bad_records: bool = False,
     error_value: Any = None,
     counters: dict[str, int] | None = None,
-    executor: Executor | ExecutorConfig | str | None = None,
+    executor: Executor | ExecutorConfig | None = None,
 ) -> list[Any]:
     """Map-only job preserving input order (a common degenerate case:
     per-record featurization with no aggregation).
@@ -432,51 +349,28 @@ def run_map(
     case the output slot holds ``error_value`` so alignment with the
     input is preserved.  Pass a dict as ``counters`` to receive
     ``records_mapped`` / ``failed_records`` / ``retried_records``
-    (always merged on the coordinator from per-record/per-chunk local
-    counters, never mutated from workers).
+    (always merged on the coordinator from per-record local counters,
+    never mutated from workers).
 
-    ``executor`` selects the backend; the process backend dispatches
-    contiguous chunks (``fn`` must be picklable) and flattens results
-    in chunk order, so output and counters are byte-identical to the
-    serial run.
+    ``executor`` selects the backend; every backend maps the same
+    per-record task (``fn`` must be picklable for the process backend,
+    which batches records into contiguous chunks per dispatch), so
+    output and counters are byte-identical to the serial run.
     """
-    ex = as_executor(executor, n_threads)
-
-    def _one(indexed: tuple[int, Any]) -> tuple[Any, Counter]:
-        index, record = indexed
-        local: Counter = Counter()
-        ok, value = _call_with_retries(
-            fn, record, index, record_retries, skip_bad_records, local
-        )
-        if not ok:
-            return error_value, local
-        local["records_mapped"] += 1
-        return value, local
-
-    indexed = list(enumerate(records))
+    ex = as_executor(executor)
+    task = _MapRecordTask(
+        fn=fn,
+        record_retries=record_retries,
+        skip_bad_records=skip_bad_records,
+        error_value=error_value,
+    )
     with obs.span(
         "mapreduce.map",
         n_records=len(records),
         backend=ex.backend,
         workers=ex.workers,
     ) as sp:
-        if ex.backend == "process" and len(indexed) > 1:
-            task = _MapChunkTask(
-                fn=fn,
-                record_retries=record_retries,
-                skip_bad_records=skip_bad_records,
-                error_value=error_value,
-            )
-            chunks = iter_chunks(indexed, ex.workers * 4)
-            results = [
-                pair
-                for chunk_result in ex.map_ordered(task, chunks, chunk_size=1)
-                for pair in chunk_result
-            ]
-        elif ex.backend == "serial" or len(indexed) < 2:
-            results = [_one(pair) for pair in indexed]
-        else:
-            results = ex.map_ordered(_one, indexed)
+        results = ex.map_ordered(task, list(enumerate(records)))
         if counters is not None or obs.enabled():
             totals: Counter = Counter()
             for _, local in results:

@@ -120,30 +120,18 @@ class Executor(abc.ABC):
         return f"{type(self).__name__}(workers={self.workers})"
 
 
-def as_executor(
-    spec: "Executor | ExecutorConfig | str | None",
-    n_threads: int = 1,
-) -> "Executor":
-    """Coerce any executor spec to a live :class:`Executor`.
-
-    ``None`` preserves the legacy ``n_threads`` behaviour: a thread
-    executor when ``n_threads > 1``, else serial.  Strings name a
-    backend with default workers (``n_threads`` for thread/process).
-    """
+def as_executor(spec: "Executor | ExecutorConfig | None") -> "Executor":
+    """Coerce an executor spec to a live :class:`Executor`: an executor
+    passes through, a config is instantiated, ``None`` is serial."""
     if isinstance(spec, Executor):
         return spec
     if isinstance(spec, ExecutorConfig):
         return spec.create()
-    if isinstance(spec, str):
-        workers = max(n_threads, 1)
-        return ExecutorConfig(backend=spec, workers=workers).create()
     if spec is None:
-        if n_threads > 1:
-            return ExecutorConfig(backend="thread", workers=n_threads).create()
         return ExecutorConfig().create()
     raise ConfigurationError(
         f"cannot interpret {spec!r} as an executor; pass an Executor, "
-        f"ExecutorConfig, backend name, or None"
+        f"ExecutorConfig, or None"
     )
 
 

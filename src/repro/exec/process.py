@@ -63,9 +63,9 @@ class ProcessExecutor(Executor):
     """Run tasks on a pool of worker processes.
 
     The pool is created per map call and sized
-    ``min(workers, len(items))``.  ``chunk_size=None`` derives a chunk
-    size that gives each worker a few chunks (straggler rebalancing
-    without per-item IPC).
+    ``min(workers, len(items))``; a single item runs inline.
+    ``chunk_size=None`` derives a chunk size that gives each worker a
+    few chunks (straggler rebalancing without per-item IPC).
     """
 
     backend = "process"
@@ -95,6 +95,10 @@ class ProcessExecutor(Executor):
         chunk = self._chunk_size(len(items), chunk_size)
         obs.add_counter("exec.process.tasks", len(items))
         obs.add_counter("exec.process.dispatches", math.ceil(len(items) / chunk))
+        if len(items) == 1:
+            # one task gains nothing from a pool: run it inline, as the
+            # thread backend does (it has passed the pickle check)
+            return (fn(item) for item in items)
         pool = ProcessPoolExecutor(
             max_workers=min(self.workers, len(items)),
             mp_context=self._mp_context,

@@ -11,7 +11,7 @@ import numpy as np
 
 from repro.core.exceptions import LabelingError
 from repro.dataflow.mapreduce import run_map
-from repro.exec import Executor, ExecutorConfig
+from repro.exec import Executor, ExecutorConfig, ThreadExecutor, as_executor
 from repro.features.table import FeatureTable
 from repro.labeling.lf import ABSTAIN, LabelingFunction
 
@@ -99,8 +99,7 @@ class LabelMatrix:
 def apply_lfs(
     lfs: list[LabelingFunction],
     table: FeatureTable,
-    n_threads: int = 1,
-    executor: Executor | ExecutorConfig | str | None = None,
+    executor: Executor | ExecutorConfig | None = None,
 ) -> LabelMatrix:
     """Apply ``lfs`` to every row of ``table``.
 
@@ -108,19 +107,19 @@ def apply_lfs(
     whole point of the offline curation step).
 
     LF vote functions are closures over mined predicates and do not
-    pickle, so ``executor`` must be a serial or thread backend (callers
-    on the process backend downgrade to threads for this step).
+    pickle, so a process ``executor`` (config or live) runs this step
+    on a thread pool of the same size; votes are identical either way.
     """
     if not lfs:
         raise LabelingError("apply_lfs requires at least one LF")
+    ex = as_executor(executor)
+    if ex.backend == "process":
+        ex = ThreadExecutor(workers=ex.workers)
 
     def vote_row(row: dict[str, object]) -> list[int]:
         return [lf(row) for lf in lfs]
 
     rows = list(table.iter_rows())
-    votes = np.array(
-        run_map(rows, vote_row, n_threads=n_threads, executor=executor),
-        dtype=np.int8,
-    )
+    votes = np.array(run_map(rows, vote_row, executor=ex), dtype=np.int8)
     votes = votes.reshape(len(rows), len(lfs))
     return LabelMatrix(votes, lfs)

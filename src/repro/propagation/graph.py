@@ -420,7 +420,7 @@ def _validate_graph_features(table: FeatureTable, config: GraphConfig) -> None:
 def build_knn_graph(
     table: FeatureTable,
     config: GraphConfig | None = None,
-    executor: Executor | ExecutorConfig | str | None = None,
+    executor: Executor | ExecutorConfig | None = None,
 ) -> SimilarityGraph:
     """Build a symmetric k-nearest-neighbour similarity graph.
 

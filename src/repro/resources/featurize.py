@@ -14,7 +14,7 @@ fallback chain to :data:`MISSING` instead of aborting the run, and the
 returned table carries a :class:`DegradationReport`.  The value RNG is
 re-derived per attempt, so a retried call that eventually succeeds
 yields exactly the value a fault-free run would have produced — a
-resilient run with the same seed is bit-identical across thread counts.
+resilient run with the same seed is bit-identical across executors.
 """
 
 from __future__ import annotations
@@ -86,36 +86,18 @@ def featurize_point(
     return row
 
 
-class _PlainFeaturizeTask:
-    """Picklable per-point featurization task (no policy, untraced).
+class _FeaturizeTask:
+    """Picklable per-point featurization task returning the feature row
+    with its degradation events and (traced runs only) per-service
+    latencies.
 
     A module-level task object — not a closure — so the process backend
-    can ship it to workers; its state is the resource list and the
-    featurization seed, which is all the determinism contract needs.
-    """
-
-    __slots__ = ("resources", "seed")
-
-    def __init__(
-        self, resources: list[OrganizationalResource], seed: int
-    ) -> None:
-        self.resources = resources
-        self.seed = seed
-
-    def __call__(self, point: DataPoint) -> dict[str, object]:
-        return featurize_point(point, self.resources, seed=self.seed)
-
-
-class _RichFeaturizeTask:
-    """Picklable per-point task collecting degradation events and
-    (optionally) per-service latencies alongside the feature row.
-
-    Events and latencies return *as data* and are folded into the
-    report / trace on the coordinator, so process workers — which carry
-    neither the tracer nor the shared policy object — lose no
-    accounting.  Per-worker policy state (breakers, health) is a copy;
-    feature values stay bit-identical because every attempt re-derives
-    its value RNG from the recorded seeds.
+    can ship it to workers.  Events and latencies return *as data* and
+    are folded into the report / trace on the coordinator, so process
+    workers — which carry neither the tracer nor the shared policy
+    object — lose no accounting.  Per-worker policy state (breakers,
+    health) is a copy; feature values stay bit-identical because every
+    attempt re-derives its value RNG from the recorded seeds.
     """
 
     __slots__ = ("resources", "seed", "policy", "collect_latencies")
@@ -153,9 +135,8 @@ def featurize_corpus(
     resources: list[OrganizationalResource],
     seed: int = 0,
     include_labels: bool = False,
-    n_threads: int = 1,
     policy: ResiliencePolicy | None = None,
-    executor: Executor | ExecutorConfig | str | None = None,
+    executor: Executor | ExecutorConfig | None = None,
 ) -> FeatureTable:
     """Featurize a corpus into a row-aligned :class:`FeatureTable`.
 
@@ -180,58 +161,43 @@ def featurize_corpus(
         corpus=corpus.name,
         n_points=len(corpus.points),
         n_resources=len(resources),
-        n_threads=n_threads,
     ) as sp:
-        if policy is None and not traced:
-            rows = run_map(
-                corpus.points,
-                _PlainFeaturizeTask(resources, seed),
-                n_threads=n_threads,
-                executor=executor,
+        mapped = run_map(
+            corpus.points,
+            _FeaturizeTask(resources, seed, policy, collect_latencies=traced),
+            executor=executor,
+        )
+        rows = [row for row, _, _ in mapped]
+        report = None
+        if policy is not None:
+            events = [e for _, local, _ in mapped for e in local]
+            # control-plane totals sampled at table-build time
+            # (policy-lifetime: a policy reused across corpora
+            # reports cumulative counts in each later table)
+            health = policy.health_report()
+            report = DegradationReport(
+                events=events,
+                n_cells=len(corpus.points) * len(resources),
+                counters={
+                    "breaker_trips": health.total_trips,
+                    "short_circuits": health.total_short_circuits,
+                    "deadline_exceeded": health.total_deadline_exceeded,
+                },
             )
-            report = None
-        else:
-            mapped = run_map(
-                corpus.points,
-                _RichFeaturizeTask(resources, seed, policy, collect_latencies=traced),
-                n_threads=n_threads,
-                executor=executor,
-            )
-            rows = [row for row, _, _ in mapped]
-            if policy is None:
-                report = None
-            else:
-                events = [e for _, local, _ in mapped for e in local]
-                # control-plane totals sampled at table-build time
-                # (policy-lifetime: a policy reused across corpora
-                # reports cumulative counts in each later table)
-                health = policy.health_report()
-                report = DegradationReport(
-                    events=events,
-                    n_cells=len(corpus.points) * len(resources),
-                    counters={
-                        "breaker_trips": health.total_trips,
-                        "short_circuits": health.total_short_circuits,
-                        "deadline_exceeded": health.total_deadline_exceeded,
-                    },
-                )
-            if traced:
-                # per-service call counters + latency histograms,
-                # aggregated on the coordinating thread
-                for _, _, local_latencies in mapped:
-                    for service, seconds in local_latencies:
-                        sp.add_counter(f"calls/{service}")
-                        sp.observe(f"latency_s/{service}", seconds)
-
-        if traced and report is not None:
-            # degradation accounting fed from the resilience layer
-            sp.add_counter("cells_degraded", report.n_degraded)
-            sp.add_counter("cells_recovered", report.n_recovered)
-            sp.add_counter("service_retries", report.total_retries)
-            for service, count in sorted(report.by_service().items()):
-                sp.add_counter(f"degraded/{service}", count)
-            if policy is not None:
-                health = policy.health_report()
+        if traced:
+            # per-service call counters + latency histograms,
+            # aggregated on the coordinating thread
+            for _, _, local_latencies in mapped:
+                for service, seconds in local_latencies:
+                    sp.add_counter(f"calls/{service}")
+                    sp.observe(f"latency_s/{service}", seconds)
+            if report is not None:
+                # degradation accounting fed from the resilience layer
+                sp.add_counter("cells_degraded", report.n_degraded)
+                sp.add_counter("cells_recovered", report.n_recovered)
+                sp.add_counter("service_retries", report.total_retries)
+                for service, count in sorted(report.by_service().items()):
+                    sp.add_counter(f"degraded/{service}", count)
                 sp.set_gauge("service_failure_rates", {
                     name: round(h.failure_rate, 4)
                     for name, h in sorted(health.services.items())

@@ -41,7 +41,6 @@ from repro.dataflow.mapreduce import (
     Key,
     Mapper,
     Reducer,
-    _map_partition_core,
     _PartitionTask,
 )
 from repro.datagen.corpus import Corpus
@@ -116,9 +115,8 @@ def featurize_corpus_sharded(
     shard_size: int,
     seed: int = 0,
     include_labels: bool = False,
-    n_threads: int = 1,
     policy: Any = None,
-    executor: "Executor | ExecutorConfig | str | None" = None,
+    executor: "Executor | ExecutorConfig | None" = None,
     progress: ShardProgress | None = None,
     tag: str = "table",
 ) -> ShardedTable:
@@ -169,7 +167,6 @@ def featurize_corpus_sharded(
                 resources,
                 seed=seed,
                 include_labels=include_labels,
-                n_threads=n_threads,
                 policy=policy,
                 executor=executor,
             )
@@ -229,8 +226,7 @@ class ShardedVotesResult:
 def apply_lfs_sharded(
     lfs: list[LabelingFunction],
     table: ShardedTable,
-    n_threads: int = 1,
-    executor: "Executor | ExecutorConfig | str | None" = None,
+    executor: "Executor | ExecutorConfig | None" = None,
     store: RunStore | None = None,
     progress: ShardProgress | None = None,
     tag: str = "votes",
@@ -242,15 +238,7 @@ def apply_lfs_sharded(
     manifest chains over the shard hashes.  The returned matrix is
     byte-identical to ``apply_lfs`` over the materialized table: LF
     votes are pure row functions, so shard boundaries cannot move them.
-
-    LF closures do not pickle (see :func:`apply_lfs`), so a process
-    executor is downgraded to the thread backend here, mirroring what
-    the pipeline does for its own LF application.
     """
-    if isinstance(executor, ExecutorConfig) and executor.backend == "process":
-        executor = ExecutorConfig(backend="thread", workers=executor.workers)
-    elif executor == "process":
-        executor = "thread"
     parts: list[np.ndarray] = []
     shard_refs: list[ArtifactRef] = []
     entries: list[dict] = []
@@ -273,13 +261,7 @@ def apply_lfs_sharded(
                 if votes.shape != (stop - start, len(lfs)):
                     votes = None  # stale shape: recompute
             if votes is None:
-                shard_matrix = apply_lfs(
-                    lfs,
-                    table.shard(index),
-                    n_threads=n_threads,
-                    executor=executor,
-                )
-                votes = shard_matrix.votes
+                votes = apply_lfs(lfs, table.shard(index), executor=executor).votes
                 if store is not None:
                     ref = store.put_bytes(VOTES_KIND, _encode_votes(votes))
                     entry = {"start": start, "stop": stop, "ref": ref.to_dict()}
@@ -327,8 +309,7 @@ def run_mapreduce_sharded(
     mapper: Mapper,
     reducer: Reducer,
     combiner: Combiner | None = None,
-    n_threads: int = 1,
-    executor: "Executor | ExecutorConfig | str | None" = None,
+    executor: "Executor | ExecutorConfig | None" = None,
     counters: dict[str, int] | None = None,
 ) -> dict[Key, Any]:
     """MapReduce over an iterator of record batches (one per shard).
@@ -344,7 +325,10 @@ def run_mapreduce_sharded(
     invariant under combiner pre-aggregation; such jobs hash
     byte-identically sharded vs unsharded across all backends.
     """
-    ex = as_executor(executor, n_threads)
+    ex = as_executor(executor)
+    task = _PartitionTask(
+        mapper=mapper, combiner=combiner, record_retries=0, skip_bad_records=False
+    )
     grouped_total: dict[Key, list[Any]] = {}
     totals: dict[str, int] = {}
     n_records = 0
@@ -359,19 +343,8 @@ def run_mapreduce_sharded(
             n_records += len(batch)
             indexed = [(offset + i, r) for i, r in enumerate(batch)]
             offset += len(batch)
-            if ex.backend == "serial" or len(indexed) < 2:
-                results = [
-                    _map_partition_core(mapper, combiner, indexed, 0, False)
-                ]
-            else:
-                task = _PartitionTask(
-                    mapper=mapper,
-                    combiner=combiner,
-                    record_retries=0,
-                    skip_bad_records=False,
-                )
-                chunks = iter_chunks(indexed, ex.workers)
-                results = ex.map_ordered(task, chunks, chunk_size=1)
+            chunks = iter_chunks(indexed, ex.workers)
+            results = ex.map_ordered(task, chunks, chunk_size=1)
             for grouped, counts in results:
                 for key, values in grouped.items():
                     bucket = grouped_total.setdefault(key, [])

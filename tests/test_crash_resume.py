@@ -120,7 +120,7 @@ def test_process_backend_crash_resumes_on_serial_bit_identical(
 # ----------------------------------------------------------------------
 # MapReduce partition-level crash/resume
 # ----------------------------------------------------------------------
-def _job(checkpoint=None, n_threads=1, calls=None):
+def _job(checkpoint=None, executor=None, calls=None):
     def mapper(r):
         if calls is not None:
             calls.append(r)
@@ -130,7 +130,7 @@ def _job(checkpoint=None, n_threads=1, calls=None):
         mapper=mapper,
         reducer=lambda key, values: sorted(values),
         n_partitions=4,
-        n_threads=n_threads,
+        executor=executor,
         checkpoint=checkpoint,
     )
 
@@ -168,11 +168,19 @@ def _sorted_reducer(key, values):
     return sorted(values)
 
 
+_BACKENDS = {
+    "serial": ExecutorConfig(),
+    "thread": ExecutorConfig(backend="thread", workers=2),
+    "process": ExecutorConfig(backend="process", workers=2),
+}
+
+
+@pytest.mark.parametrize("backend", sorted(_BACKENDS))
 @pytest.mark.parametrize("kill_partition", [0, 2])
 def test_mapreduce_process_partition_kill_and_resume(
-    tmp_path, monkeypatch, kill_partition
+    tmp_path, monkeypatch, kill_partition, backend
 ):
-    """A process-backend job killed mid-run leaves a resumable prefix:
+    """A job killed mid-run leaves a resumable prefix on every backend:
     the coordinator checkpoints partition payloads in partition order as
     worker results arrive, so a serial resume replays the completed
     prefix bit-identically and never re-maps its records."""
@@ -186,7 +194,7 @@ def test_mapreduce_process_partition_kill_and_resume(
         reducer=_sorted_reducer,
         n_partitions=4,
         checkpoint=PartitionCheckpointer(tmp_path, job_key="j"),
-        executor=ExecutorConfig(backend="process", workers=2),
+        executor=_BACKENDS[backend],
     )
     with pytest.raises(SimulatedCrashError):
         job.run(records)
@@ -212,7 +220,8 @@ def test_mapreduce_process_resume_from_threaded_checkpoint(tmp_path):
     records = list(range(40))
     expected = _job().run(records)
     first = _job(
-        checkpoint=PartitionCheckpointer(tmp_path, job_key="j"), n_threads=4
+        checkpoint=PartitionCheckpointer(tmp_path, job_key="j"),
+        executor=ExecutorConfig(backend="thread", workers=4),
     )
     assert first.run(records) == expected
     second = MapReduceJob(
@@ -230,12 +239,15 @@ def test_mapreduce_threaded_resume_matches(tmp_path):
     records = list(range(40))
     expected = _job().run(records)
     ck_dir = tmp_path / "job"
-    first = _job(checkpoint=PartitionCheckpointer(ck_dir, job_key="j"), n_threads=4)
+    threads = ExecutorConfig(backend="thread", workers=4)
+    first = _job(
+        checkpoint=PartitionCheckpointer(ck_dir, job_key="j"), executor=threads
+    )
     assert first.run(records) == expected
     calls: list[int] = []
     second = _job(
         checkpoint=PartitionCheckpointer(ck_dir, job_key="j"),
-        n_threads=4,
+        executor=threads,
         calls=calls,
     )
     assert second.run(records) == expected

@@ -5,10 +5,14 @@ import pytest
 
 from repro.core.exceptions import LabelingError
 from repro.datagen.entities import Modality
+from repro.exec import ExecutorConfig, ProcessExecutor
 from repro.features.schema import FeatureKind, FeatureSchema, FeatureSpec
 from repro.features.table import FeatureTable
 from repro.labeling.lf import ABSTAIN, NEGATIVE, POSITIVE, LabelingFunction
 from repro.labeling.matrix import LabelMatrix, apply_lfs
+from repro.runs.store import RunStore
+from repro.shards.stages import apply_lfs_sharded
+from repro.shards.table import ShardedTableWriter
 
 
 def _lfs():
@@ -95,6 +99,24 @@ def test_empty_matrix_statistics():
 def test_threaded_application_matches(tiny_curation, tiny_image_table):
     lfs = tiny_curation.lfs[:5]
     table = tiny_curation.image_table_augmented
-    seq = apply_lfs(lfs, table, n_threads=1)
-    par = apply_lfs(lfs, table, n_threads=4)
+    seq = apply_lfs(lfs, table, executor=ExecutorConfig(backend="thread", workers=1))
+    par = apply_lfs(lfs, table, executor=ExecutorConfig(backend="thread", workers=4))
     assert np.array_equal(seq.votes, par.votes)
+
+
+@pytest.mark.parametrize(
+    "make_executor",
+    [lambda: ExecutorConfig(backend="process", workers=2), lambda: ProcessExecutor(2)],
+    ids=["config", "live"],
+)
+def test_closure_lfs_on_process_backend_match_serial(tmp_path, make_executor):
+    """LF closures do not pickle, so a process backend — config or live
+    executor — runs LF application on threads; votes equal the serial
+    run both unsharded and sharded."""
+    table = _table()
+    expected = apply_lfs(_lfs(), table).votes
+    votes = apply_lfs(_lfs(), table, executor=make_executor()).votes
+    assert np.array_equal(votes, expected)
+    sharded = ShardedTableWriter.write_table(RunStore(tmp_path), table, 3)
+    result = apply_lfs_sharded(_lfs(), sharded, executor=make_executor())
+    assert np.array_equal(result.matrix.votes, expected)

@@ -21,6 +21,7 @@ from repro.core.exceptions import (
 )
 from repro.core.rng import spawn
 from repro.datagen.corpus import Corpus
+from repro.exec import ExecutorConfig
 from repro.features.table import MISSING
 from repro.resilience import (
     CircuitBreaker,
@@ -441,11 +442,12 @@ class TestResilientFeaturization:
         self, suite, small_corpus
     ):
         tables = []
-        for n_threads in (1, 4, 1):
+        for workers in (1, 4, 1):
             wrapped, policy = make_faulty_setup(suite)
             tables.append(
                 featurize_corpus(
-                    small_corpus, wrapped, seed=5, n_threads=n_threads,
+                    small_corpus, wrapped, seed=5,
+                    executor=ExecutorConfig(backend="thread", workers=workers),
                     policy=policy,
                 )
             )

@@ -9,12 +9,14 @@ and model family).
 
 from __future__ import annotations
 
+import dataclasses
+import typing
 from dataclasses import dataclass, field
 
 from repro.core.exceptions import ConfigurationError
 from repro.exec import ExecutorConfig
 
-__all__ = ["CurationConfig", "TrainingConfig", "PipelineConfig"]
+__all__ = ["CurationConfig", "TrainingConfig", "PipelineConfig", "from_asdict"]
 
 _FUSIONS = ("early", "intermediate", "devise")
 _MODELS = ("mlp", "logreg")
@@ -145,3 +147,22 @@ class PipelineConfig:
                 f"shard_size must be a positive row count or None, "
                 f"got {self.shard_size}"
             )
+
+
+def from_asdict(cls: type, data: dict):
+    """Inverse of :func:`dataclasses.asdict` after a JSON round trip:
+    nested dicts become their dataclasses, lists the tuples the field
+    declares, and keys that are not fields are ignored.  Values of the
+    wrong shape raise :class:`TypeError`."""
+    hints = typing.get_type_hints(cls)
+    kwargs = {}
+    for f in dataclasses.fields(cls):
+        if f.name not in data:
+            continue
+        value, hint = data[f.name], hints[f.name]
+        if dataclasses.is_dataclass(hint) and isinstance(value, dict):
+            value = from_asdict(hint, value)
+        elif typing.get_origin(hint) is tuple:
+            value = tuple(value)
+        kwargs[f.name] = value
+    return cls(**kwargs)

@@ -16,8 +16,9 @@ C. **Model training** — train a multi-modal model (early / intermediate
 Each step is a public method so team members can enter and exit the
 pipeline at their step (the paper's production requirement §2.3).
 :data:`STAGES` declares each step once — the config it fingerprints,
-its upstream artifacts, compute and codecs — and
-:meth:`CrossModalPipeline.run` and lineage repair both read that table.
+its upstream artifacts, compute and codecs — and every reader of a
+recorded run (checkpoint replay, dedup hits, lineage repair, serving
+deploys) decodes through that table.
 """
 
 from __future__ import annotations
@@ -36,6 +37,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.resilience.policy import ResiliencePolicy
     from repro.runs.checkpoint import RunCheckpointer
     from repro.runs.manifest import RunManifest
+    from repro.runs.repair import RepairEngine
 from repro.core.exceptions import ConfigurationError, RepairError
 from repro.core.rng import derive_seed, spawn
 from repro.datagen.corpus import Corpus, CorpusSplits
@@ -64,7 +66,7 @@ from repro.propagation.propagate import LabelPropagation
 from repro.propagation.streaming import StreamingLabelPropagation
 from repro.resources.catalog import ResourceCatalog
 from repro.resources.featurize import featurize_corpus
-from repro.resources.service_sets import IMAGE_SET
+from repro.resources.service_sets import model_feature_schema
 from repro.runs import codecs
 from repro.runs.store import ArtifactRef, RunStore
 from repro.shards.stages import ShardProgress, _job_key, featurize_corpus_sharded
@@ -78,6 +80,7 @@ from repro.shards.table import (
 
 __all__ = [
     "STAGES",
+    "STAGES_BY_NAME",
     "CrossModalPipeline",
     "CurationResult",
     "PipelineResult",
@@ -92,9 +95,9 @@ __all__ = [
 #
 # Each stage is declared once, as a StageSpec row: the config slice it
 # fingerprints, the upstream artifacts whose hashes it chains, and its
-# compute / encode / decode.  Checkpointed runs (CrossModalPipeline.run)
-# and lineage repair (recompute_stage) both read these rows, so a
-# repaired artifact hashes bit-identically to the original.
+# compute / encode / decode.  Checkpointed runs (CrossModalPipeline.run),
+# lineage repair (recompute_stage) and serving deploys all read these
+# rows, so a repaired artifact hashes bit-identically to the original.
 # ----------------------------------------------------------------------
 def split_corpora(splits: CorpusSplits) -> tuple[tuple[str, Corpus, bool], ...]:
     """The featurize stage's ``(artifact key, corpus, include_labels)``
@@ -136,8 +139,18 @@ class StageSpec:
     compute: Callable[["CrossModalPipeline", StageInputs], dict]
     #: ``{artifact: value} -> {artifact: (kind, payload)}``
     encode: Callable[[dict], dict]
-    #: ``(store, ref, payload) -> value`` of one top-level artifact
-    decode: Callable[[RunStore, ArtifactRef, object], object]
+    #: ``(reader, ref) -> value`` of one top-level artifact; ``reader``
+    #: is a :class:`RunStore` or a self-healing ``RepairEngine``
+    decode: Callable[[object, ArtifactRef], object]
+
+    def decode_refs(self, reader, refs: dict[str, ArtifactRef]) -> dict:
+        """The stage's value from its recorded refs; shard artifacts
+        (``text/shard00003``) are read through their manifest."""
+        return {
+            key: self.decode(reader, ref)
+            for key, ref in refs.items()
+            if "/" not in key
+        }
 
 
 def _featurize_config(p: "CrossModalPipeline") -> dict:
@@ -208,12 +221,9 @@ def _encode_feature_tables(tables: dict) -> dict:
         for index in range(table.n_shards):
             rows_ref, dense_ref = table.shard_refs(index)
             shard = f"{key}/shard{index:05d}"
-            out[shard] = (ROWS_KIND, table.reader.read_json(rows_ref))
+            out[shard] = (ROWS_KIND, table.store.get_json(rows_ref))
             if dense_ref is not None:
-                out[f"{shard}.dense"] = (
-                    DENSE_KIND,
-                    table.reader.read_bytes(dense_ref),
-                )
+                out[f"{shard}.dense"] = (DENSE_KIND, table.store.get_bytes(dense_ref))
     return out
 
 
@@ -221,7 +231,7 @@ def _one_artifact(name: str, kind: str, encode: Callable, decode: Callable) -> d
     """``encode``/``decode`` of a stage whose value is one JSON artifact."""
     return {
         "encode": lambda out: {name: (kind, encode(out[name]))},
-        "decode": lambda store, ref, doc: decode(doc),
+        "decode": lambda reader, ref: decode(reader.get_json(ref)),
     }
 
 
@@ -278,7 +288,7 @@ STAGES: tuple[StageSpec, ...] = (
         ),
     ),
 )
-_STAGES_BY_NAME = {spec.name: spec for spec in STAGES}
+STAGES_BY_NAME = {spec.name: spec for spec in STAGES}
 
 
 @dataclass
@@ -419,11 +429,11 @@ class CrossModalPipeline:
 
     def model_feature_schema(self, modality: Modality) -> FeatureSchema:
         """Servable features the deployed model may consume."""
-        sets = list(self.config.model_service_sets)
-        if self.config.include_image_features and modality is not Modality.TEXT:
-            sets.append(IMAGE_SET)
-        return self.schema.select(
-            service_sets=sets, servable_only=True, modality=modality
+        return model_feature_schema(
+            self.schema,
+            modality,
+            self.config.model_service_sets,
+            self.config.include_image_features,
         )
 
     def select_model_features(
@@ -794,12 +804,6 @@ class CrossModalPipeline:
                 "shard_size requires a checkpointed run: shard artifacts "
                 "live in the run's content-hashed store"
             )
-        if self.config.shard_size is not None and self.resilience is not None:
-            raise ConfigurationError(
-                "shard_size cannot be combined with a resilience policy: "
-                "sharded featurize does not carry per-run degradation "
-                "reports — run resilience regimes unsharded"
-            )
         timings: dict[str, float] = {}
         resumed: list[str] = []
         artifacts: dict[str, object] = {}
@@ -828,24 +832,16 @@ class CrossModalPipeline:
                         config=config,
                         compute=lambda: spec.compute(self, job),
                         encode=spec.encode,
-                        # decoding dispatches on artifact kind, so it
-                        # runs below, on the recorded refs
-                        decode=lambda payloads: payloads,
+                        decode=spec.decode_refs,
                     )
                     # shard artifacts ("text/shard00003") belong to their
                     # manifest, which already pins their hashes
-                    refs = {
-                        key: ref
+                    hashes.update(
+                        (key, ref.hash)
                         for key, ref in outcome.record.artifacts.items()
                         if "/" not in key
-                    }
-                    hashes.update((key, ref.hash) for key, ref in refs.items())
+                    )
                     out = outcome.value
-                    if outcome.reused or outcome.deduped:
-                        out = {
-                            key: spec.decode(store, ref, out[key])
-                            for key, ref in refs.items()
-                        }
                     if outcome.reused:
                         resumed.append(spec.name)
                 # sharded featurize hands back shard handles; downstream
@@ -881,15 +877,16 @@ class CrossModalPipeline:
         self,
         name: str,
         manifest: "RunManifest",
-        store: "RunStore",
+        reader: "RunStore | RepairEngine",
         splits: CorpusSplits,
     ) -> dict:
         """Offline replay of one recorded stage, for lineage repair.
 
         Recomputes stage ``name`` exactly as a checkpointed :meth:`run`
         would — same :data:`STAGES` row, so the same derived seeds and
-        codecs — reading its upstream inputs from ``store`` (the
-        :class:`~repro.runs.repair.RepairEngine` heals those first).
+        codecs — decoding its upstream inputs from ``reader``, the run's
+        store or a :class:`~repro.runs.repair.RepairEngine` (which heals
+        them first).
         Returns the stage's checkpoint encoding ``{artifact: (kind,
         payload)}``; the caller verifies the encoded bytes hash to the
         recorded references before restoring anything.
@@ -904,11 +901,11 @@ class CrossModalPipeline:
         record = manifest.stages.get(name)
         if record is None:
             raise RepairError(f"run manifest records no stage {name!r} to replay")
-        spec = _STAGES_BY_NAME.get(name)
+        spec = STAGES_BY_NAME.get(name)
         if spec is None:
             raise RepairError(
                 f"stage {name!r} has no offline replay; repairable stages are "
-                f"{', '.join(_STAGES_BY_NAME)}"
+                f"{', '.join(STAGES_BY_NAME)}"
             )
         config = record.config if isinstance(record.config, dict) else {}
         if "resilience" in config and self.resilience is None:
@@ -921,20 +918,13 @@ class CrossModalPipeline:
         artifacts: dict[str, object] = {}
         for stage, key in spec.inputs:
             upstream = manifest.stages.get(stage)
-            if upstream is None:
-                raise RepairError(
-                    f"replaying stage {name!r} needs the {stage!r} record, "
-                    f"which the manifest lacks"
-                )
-            ref = upstream.artifacts.get(key)
+            ref = upstream.artifacts.get(key) if upstream is not None else None
             if ref is None:
                 raise RepairError(
                     f"replaying stage {name!r} needs artifact {key!r} of "
-                    f"stage {stage!r}, which its record does not list"
+                    f"stage {stage!r}, which the manifest does not record"
                 )
-            artifacts[key] = _STAGES_BY_NAME[stage].decode(
-                store, ref, store.get_json(ref)
-            )
+            artifacts[key] = STAGES_BY_NAME[stage].decode(reader, ref)
         # sharded featurize rebuilds its shards in a scratch store, so a
         # divergent replay leaves no orphans in the real one; the repair
         # oracle verifies the encoded bytes before restoring

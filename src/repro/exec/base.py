@@ -42,15 +42,11 @@ class ExecutorConfig:
     """Serializable executor selection.
 
     ``backend`` — one of :data:`BACKENDS`.  ``workers`` — pool size for
-    the parallel backends (ignored by ``serial``).  ``chunk_size`` —
-    items per dispatch for the process backend (``None`` = derived from
-    the item count so each worker gets a few chunks); thread and serial
-    backends ignore it.
+    the parallel backends (ignored by ``serial``).
     """
 
     backend: str = "serial"
     workers: int = 1
-    chunk_size: int | None = None
 
     def __post_init__(self) -> None:
         if self.backend not in BACKENDS:
@@ -59,8 +55,6 @@ class ExecutorConfig:
             )
         if self.workers < 1:
             raise ConfigurationError("workers must be >= 1")
-        if self.chunk_size is not None and self.chunk_size < 1:
-            raise ConfigurationError("chunk_size must be >= 1 (or None)")
 
     def create(self) -> "Executor":
         """Instantiate the configured executor."""
@@ -71,7 +65,7 @@ class ExecutorConfig:
             return SerialExecutor()
         if self.backend == "thread":
             return ThreadExecutor(workers=self.workers)
-        return ProcessExecutor(workers=self.workers, chunk_size=self.chunk_size)
+        return ProcessExecutor(workers=self.workers)
 
 
 class Executor(abc.ABC):

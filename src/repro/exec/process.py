@@ -63,24 +63,16 @@ class ProcessExecutor(Executor):
     """Run tasks on a pool of worker processes.
 
     The pool is created per map call and sized
-    ``min(workers, len(items))``; a single item runs inline.
-    ``chunk_size=None`` derives a chunk size that gives each worker a
-    few chunks (straggler rebalancing without per-item IPC).
+    ``min(workers, len(items))``; a single item runs inline.  Unless a
+    call passes ``chunk_size``, items are dispatched in chunks that give
+    each worker a few (straggler rebalancing without per-item IPC).
     """
 
     backend = "process"
 
-    def __init__(self, workers: int = 2, chunk_size: int | None = None) -> None:
+    def __init__(self, workers: int = 2) -> None:
         self.workers = max(int(workers), 1)
-        self.chunk_size = chunk_size
         self._mp_context = _preferred_context()
-
-    def _chunk_size(self, n_items: int, override: int | None) -> int:
-        if override is not None:
-            return max(1, override)
-        if self.chunk_size is not None:
-            return max(1, self.chunk_size)
-        return max(1, math.ceil(n_items / (self.workers * 4)))
 
     def imap_ordered(
         self,
@@ -92,7 +84,7 @@ class ProcessExecutor(Executor):
         if not items:
             return iter(())
         ensure_picklable(fn, "the task callable (and its captured state)")
-        chunk = self._chunk_size(len(items), chunk_size)
+        chunk = max(1, chunk_size or math.ceil(len(items) / (self.workers * 4)))
         obs.add_counter("exec.process.tasks", len(items))
         obs.add_counter("exec.process.dispatches", math.ceil(len(items) / chunk))
         if len(items) == 1:

@@ -39,7 +39,7 @@ from repro.core.pipeline import split_corpora
 from repro.core.rng import derive_seed
 from repro.runs.crash import CRASH_AT_ENV, CRASH_EXIT_CODE
 from repro.experiments.common import ExperimentContext
-from repro.experiments.reporting import render_bars, render_table
+from repro.experiments.reporting import no_cliff, render_bars, render_table
 from repro.resilience import (
     FallbackChain,
     FaultInjector,
@@ -81,18 +81,9 @@ class ChaosResult:
 
     def graceful(self, max_step_loss: float = 0.5) -> bool:
         """True when no *adjacent* availability step loses more than
-        ``max_step_loss`` of the preceding level's AUPRC.
-
-        Graceful degradation means the quality curve declines smoothly
-        with availability; a cliff is a single step that wipes out most
-        of the remaining quality.
-        """
-        order = np.argsort(self.availabilities)[::-1]
-        ordered = [self.auprcs[i] for i in order]
-        for prev, nxt in zip(ordered, ordered[1:]):
-            if prev > 0 and nxt < (1.0 - max_step_loss) * prev:
-                return False
-        return True
+        ``max_step_loss`` of the preceding level's AUPRC: quality may
+        decline, but no single step wipes out most of what remains."""
+        return no_cliff(self.availabilities, self.auprcs, max_step_loss)
 
     def render(self) -> str:
         rows = []

@@ -352,20 +352,6 @@ def run_end_to_end(
     if bench_dir:
         from repro.obs.bench import BenchArtifact
 
-        # degradation counters come from the featurized tables when a
-        # resilience policy was in play; a plain run reports zeros —
-        # the schema stays stable either way
-        reports = [
-            t.degradation
-            for t in result.tables.values()
-            if t.degradation is not None
-        ]
-        counters: dict[str, int] = {
-            "breaker_trips": 0, "short_circuits": 0, "deadline_exceeded": 0,
-        }
-        for report in reports:
-            for key in counters:
-                counters[key] = max(counters[key], report.counters.get(key, 0))
         artifact = BenchArtifact("end_to_end", scale=scale, seed=seed)
         for stage, seconds in run.timings.items():
             artifact.time(stage, seconds)
@@ -376,11 +362,6 @@ def run_end_to_end(
             coverage=round(run.coverage, 4),
             resumed_stages=run.resumed_stages,
             repaired_stages=run.repaired_stages,
-            retries=sum(r.total_retries for r in reports),
-            fallbacks=sum(r.n_fallbacks for r in reports),
-            shed_items=0,
-            dedup_hits=0,
-            **counters,
         )
         artifact.write(bench_dir)
     return run

@@ -38,7 +38,7 @@ import numpy as np
 
 from repro.core.rng import derive_seed
 from repro.experiments.common import ExperimentContext
-from repro.experiments.reporting import render_table
+from repro.experiments.reporting import no_cliff, render_table
 from repro.obs.bench import BenchArtifact
 from repro.resilience.circuit import CircuitConfig
 from repro.scheduler import (
@@ -139,12 +139,8 @@ class MultiTenantCell:
         """No adjacent availability step loses more than
         ``max_step_loss`` of the preceding level's AUPRC (the chaos
         experiment's no-cliff rule, applied under contention)."""
-        levels = sorted(self.auprc_by_availability, reverse=True)
-        ordered = [self.auprc_by_availability[a] for a in levels]
-        for prev, nxt in zip(ordered, ordered[1:]):
-            if prev > 0 and nxt < (1.0 - max_step_loss) * prev:
-                return False
-        return True
+        by_level = self.auprc_by_availability
+        return no_cliff(list(by_level), list(by_level.values()), max_step_loss)
 
 
 @dataclass

@@ -4,7 +4,23 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 
-__all__ = ["render_table", "format_value", "render_series"]
+__all__ = ["render_table", "format_value", "render_series", "no_cliff"]
+
+
+def no_cliff(
+    levels: Sequence[float], values: Sequence[float], max_step_loss: float = 0.5
+) -> bool:
+    """The degradation sweeps' no-cliff gate: walking ``levels`` from
+    highest to lowest, no adjacent step loses more than ``max_step_loss``
+    of the previous (nonzero) level's value."""
+    ordered = [
+        value
+        for _, value in sorted(zip(levels, values), key=lambda lv: lv[0], reverse=True)
+    ]
+    return not any(
+        prev > 0 and nxt < (1.0 - max_step_loss) * prev
+        for prev, nxt in zip(ordered, ordered[1:])
+    )
 
 
 def format_value(value: object) -> str:

@@ -20,24 +20,40 @@ import time
 from pathlib import Path
 
 import repro.obs as obs
-from repro.core.config import CurationConfig, PipelineConfig, TrainingConfig
+from repro.core.config import PipelineConfig, from_asdict
 from repro.core.exceptions import RepairError
 from repro.experiments.end_to_end import build_pipeline_for_run
 from repro.obs.bench import BenchArtifact
 from repro.runs import RepairEngine, RunManifest, RunStore, ScrubReport, scrub_run
 
-__all__ = ["rebuild_end_to_end", "make_repair_engine", "run_scrub"]
+__all__ = ["recorded_config", "rebuild_end_to_end", "make_repair_engine", "run_scrub"]
+
+
+def recorded_config(manifest: RunManifest) -> PipelineConfig:
+    """The :class:`PipelineConfig` a recorded run was launched with,
+    restored from its merged stage configs (slices of it).  Raises
+    :class:`RepairError` when they do not fit this build's schema."""
+    merged: dict = {}
+    for record in manifest.stages.values():
+        if isinstance(record.config, dict):
+            merged.update(record.config)
+    try:
+        return from_asdict(PipelineConfig, merged)
+    except TypeError as exc:
+        raise RepairError(
+            f"recorded stage configs do not match this build's config schema "
+            f"({exc}); the run was written by an incompatible version"
+        ) from exc
 
 
 def rebuild_end_to_end(manifest: RunManifest):
     """Reconstruct the pipeline + splits of a recorded ``end_to_end`` run.
 
-    The manifest context pins task / scale / seed; the per-stage knobs
-    that change artifact bytes (curation config, graph backend, training
-    config, service-set selections) are read back from the recorded
-    stage configs, so a run launched with non-default flags replays
-    faithfully.  Raises :class:`RepairError` for manifests this build
-    cannot replay (other experiments, incompatible config schemas).
+    The manifest context pins task / scale / seed; every knob that
+    changes artifact bytes comes back from the recorded stage configs
+    (:func:`recorded_config`), so a run launched with non-default flags
+    replays faithfully.  Raises :class:`RepairError` for manifests this
+    build cannot replay (other experiments, incompatible config schemas).
     """
     context = manifest.context
     if context.get("experiment") != "end_to_end":
@@ -53,41 +69,7 @@ def rebuild_end_to_end(manifest: RunManifest):
         raise RepairError(
             f"run context {context!r} lacks a usable task/scale/seed: {exc}"
         ) from exc
-
-    config_kwargs: dict = {"seed": seed}
-    curate = manifest.stages.get("curate")
-    train = manifest.stages.get("train")
-    try:
-        if curate is not None and isinstance(curate.config, dict):
-            recorded = curate.config.get("curation")
-            if isinstance(recorded, dict):
-                config_kwargs["curation"] = CurationConfig(**recorded)
-            lf_sets = curate.config.get("lf_service_sets")
-            if lf_sets is not None:
-                config_kwargs["lf_service_sets"] = tuple(lf_sets)
-        if train is not None and isinstance(train.config, dict):
-            recorded = train.config.get("training")
-            if isinstance(recorded, dict):
-                recorded = dict(recorded)
-                # JSON round-trips tuples as lists; the config dataclass
-                # (and the fingerprint it feeds) expects the tuple back
-                if recorded.get("hidden_sizes") is not None:
-                    recorded["hidden_sizes"] = tuple(recorded["hidden_sizes"])
-                config_kwargs["training"] = TrainingConfig(**recorded)
-            if "model_service_sets" in train.config:
-                config_kwargs["model_service_sets"] = tuple(
-                    train.config["model_service_sets"]
-                )
-            if "include_image_features" in train.config:
-                config_kwargs["include_image_features"] = bool(
-                    train.config["include_image_features"]
-                )
-    except TypeError as exc:
-        raise RepairError(
-            f"recorded stage configs do not match this build's config schema "
-            f"({exc}); the run was written by an incompatible version"
-        ) from exc
-    return build_pipeline_for_run(task, scale, seed, PipelineConfig(**config_kwargs))
+    return build_pipeline_for_run(task, scale, seed, recorded_config(manifest))
 
 
 def make_repair_engine(

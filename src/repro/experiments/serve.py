@@ -36,14 +36,11 @@ import tempfile
 from dataclasses import dataclass
 from pathlib import Path
 
-import numpy as np
-
 from repro.core.rng import derive_seed
 from repro.datagen.entities import DataPoint
-from repro.datagen.tasks import classification_task, generate_task_corpora
-from repro.experiments.reporting import render_table
+from repro.experiments.reporting import no_cliff, render_table
 from repro.resilience import FaultInjector, FaultSpec
-from repro.resources.service_sets import build_resource_suite
+from repro.resources.service_sets import model_feature_schema
 from repro.runs.manifest import RunManifest
 from repro.serving import (
     Decision,
@@ -108,12 +105,7 @@ class ServeResult:
         """No adjacent availability step loses more than
         ``max_step_loss`` of the previous level's cold-cache decision
         agreement (the serving analogue of the chaos AUPRC rule)."""
-        order = np.argsort(self.availabilities)[::-1]
-        ordered = [self.cold_agreements[i] for i in order]
-        for prev, nxt in zip(ordered, ordered[1:]):
-            if prev > 0 and nxt < (1.0 - max_step_loss) * prev:
-                return False
-        return True
+        return no_cliff(self.availabilities, self.cold_agreements, max_step_loss)
 
     def render(self) -> str:
         rows = [
@@ -211,7 +203,7 @@ def run_serve(
     expensive part); otherwise the run is computed there first.  With
     no ``run_dir`` a temporary directory is used.
     """
-    from repro.experiments.end_to_end import run_end_to_end
+    from repro.experiments.end_to_end import build_pipeline_for_run, run_end_to_end
 
     directory = Path(
         run_dir
@@ -234,13 +226,8 @@ def run_serve(
     artifacts = ServingArtifacts.load(directory)
 
     # the live catalog, rebuilt exactly as the batch run built it
-    task_config = classification_task("CT1")
-    world, task_rt, splits = generate_task_corpora(
-        task_config, scale=scale, seed=seed
-    )
-    resources = list(
-        build_resource_suite(world, task_rt, n_history=10_000, seed=seed)
-    )
+    pipeline, splits = build_pipeline_for_run("CT1", scale, seed)
+    resources = list(pipeline.catalog)
     # never keep more points than requests: the round-robin schedule
     # must cover every point at least once for the identity comparison
     # against the full reference serve to be meaningful
@@ -340,14 +327,14 @@ def run_serve(
     # agreement with the batch pipeline's whole-table forward pass
     # ------------------------------------------------------------------
     test_table = artifacts.tables["test"]
-    modality = test_table.modalities[0]
-    with ModelServer(artifacts, resources) as server:
-        model_names = [
-            n for n in server.model_schema(modality).names
-            if n in test_table.schema
-        ]
+    model_schema = model_feature_schema(
+        test_table.schema,
+        test_table.modalities[0],
+        artifacts.model_service_sets,
+        artifacts.include_image_features,
+    )
     batch_scores = artifacts.model.predict_proba(
-        test_table.select_features(model_names)
+        test_table.select_features(model_schema.names)
     )
     by_pid = {
         int(pid): float(score)

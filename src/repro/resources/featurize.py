@@ -170,19 +170,9 @@ def featurize_corpus(
         rows = [row for row, _, _ in mapped]
         report = None
         if policy is not None:
-            events = [e for _, local, _ in mapped for e in local]
-            # control-plane totals sampled at table-build time
-            # (policy-lifetime: a policy reused across corpora
-            # reports cumulative counts in each later table)
-            health = policy.health_report()
             report = DegradationReport(
-                events=events,
+                events=[e for _, local, _ in mapped for e in local],
                 n_cells=len(corpus.points) * len(resources),
-                counters={
-                    "breaker_trips": health.total_trips,
-                    "short_circuits": health.total_short_circuits,
-                    "deadline_exceeded": health.total_deadline_exceeded,
-                },
             )
         if traced:
             # per-service call counters + latency histograms,
@@ -200,7 +190,7 @@ def featurize_corpus(
                     sp.add_counter(f"degraded/{service}", count)
                 sp.set_gauge("service_failure_rates", {
                     name: round(h.failure_rate, 4)
-                    for name, h in sorted(health.services.items())
+                    for name, h in sorted(policy.health_report().services.items())
                     if h.attempts
                 })
 

@@ -25,9 +25,11 @@ Our instantiation (nonservable features marked *):
 
 from __future__ import annotations
 
+from collections.abc import Sequence
+
 from repro.datagen.entities import Modality
 from repro.datagen.world import TaskRuntime, World
-from repro.features.schema import FeatureKind, FeatureSpec
+from repro.features.schema import FeatureKind, FeatureSchema, FeatureSpec
 from repro.resources.aggregates import (
     AggregateStore,
     KeywordRiskService,
@@ -55,7 +57,7 @@ from repro.resources.model_services import (
     UrlCategoryService,
 )
 
-__all__ = ["SERVICE_SETS", "IMAGE_SET", "build_resource_suite"]
+__all__ = ["SERVICE_SETS", "IMAGE_SET", "build_resource_suite", "model_feature_schema"]
 
 #: the paper's four evaluated service sets, in cumulative order
 SERVICE_SETS: tuple[str, ...] = ("A", "B", "C", "D")
@@ -64,6 +66,20 @@ SERVICE_SETS: tuple[str, ...] = ("A", "B", "C", "D")
 IMAGE_SET = "IMG"
 
 _VISUAL = frozenset({Modality.IMAGE, Modality.VIDEO})
+
+
+def model_feature_schema(
+    schema: FeatureSchema,
+    modality: Modality,
+    model_service_sets: Sequence[str],
+    include_image_features: bool,
+) -> FeatureSchema:
+    """Servable features a deployed model consumes for ``modality`` —
+    the rule the pipeline trains and the model server serves with."""
+    sets = list(model_service_sets)
+    if include_image_features and modality is not Modality.TEXT:
+        sets.append(IMAGE_SET)
+    return schema.select(service_sets=sets, servable_only=True, modality=modality)
 
 
 def _cat(name: str, service_set: str, servable: bool = True, description: str = "") -> FeatureSpec:

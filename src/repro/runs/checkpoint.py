@@ -48,6 +48,8 @@ __all__ = [
 
 #: encode() returns {artifact_name: (kind, json_payload)}
 Encoded = dict[str, tuple[str, Any]]
+#: decode(store, {artifact_name: ref}) -> the stage's value
+Decode = Callable[[RunStore, dict[str, ArtifactRef]], Any]
 
 
 @dataclass
@@ -123,34 +125,23 @@ class RunCheckpointer:
             return self.store.put_bytes(kind, bytes(payload))
         return self.store.put_json(kind, payload)
 
-    def _read_payload(self, ref: ArtifactRef) -> Any:
-        """Inverse of :meth:`_store_payload`, dispatching on the kind's
-        suffix the same way the store picks file extensions."""
-        if ref.kind.endswith((".npy", ".pkl")):
-            return self.store.get_bytes(ref)
-        return self.store.get_json(ref)
-
-    def _decode_refs(self, artifacts: dict[str, ArtifactRef]) -> dict[str, Any]:
-        return {key: self._read_payload(ref) for key, ref in artifacts.items()}
-
-    def _stage_payloads(
+    def _decode_stage(
         self,
         name: str,
         artifacts: dict[str, ArtifactRef],
         compute: Callable[[], Any],
-        encode: Callable[[Any], "Encoded"],
-    ) -> dict[str, Any]:
-        """Load a stage's persisted payloads, auto-repairing on damage.
+        encode: Callable[[Any], Encoded],
+        decode: Decode,
+    ) -> Any:
+        """Decode a stage's recorded artifacts, auto-repairing on damage.
 
-        A fingerprint match got us here, so ``compute`` is (by the
-        checkpoint contract) a deterministic replay of the recorded
-        stage; :func:`verify_and_restore` enforces that with the
-        recorded content hashes before anything is written.  The
-        payloads are then re-read from the store so the caller decodes
-        the exact JSON round-trip it would have seen without damage.
+        ``decode`` reads through the verifying store, so the read is the
+        integrity check.  On damage, ``compute`` replays the stage,
+        :func:`verify_and_restore` checks the replay against the
+        recorded hashes and restores, and the artifacts decode again.
         """
         try:
-            return self._decode_refs(artifacts)
+            return decode(self.store, artifacts)
         except (ArtifactMissingError, IntegrityError):
             if not self.auto_repair:
                 raise
@@ -162,7 +153,7 @@ class RunCheckpointer:
                 )
             obs.add_counter("runs.stages_repaired")
             self.repaired_stages.append(name)
-            return self._decode_refs(artifacts)
+            return decode(self.store, artifacts)
 
     def stage(
         self,
@@ -170,7 +161,7 @@ class RunCheckpointer:
         config: object,
         compute: Callable[[], Any],
         encode: Callable[[Any], Encoded],
-        decode: Callable[[dict[str, Any]], Any],
+        decode: Decode,
     ) -> StageOutcome:
         """Replay ``name`` from artifacts, or compute and persist it.
 
@@ -179,6 +170,9 @@ class RunCheckpointer:
         it is fingerprinted against the manifest record.  Replay happens
         only on an exact fingerprint match — any skew recomputes, and
         the changed output hashes re-fingerprint downstream stages.
+
+        ``decode(store, refs)`` turns recorded refs back into the value
+        ``compute`` returns; replays and dedup hits both go through it.
         """
         fingerprint = stage_fingerprint(self.manifest.context, name, config)
         record = self.manifest.completed(name, fingerprint)
@@ -186,9 +180,10 @@ class RunCheckpointer:
             with obs.span(
                 "runs.stage.skip", stage=name, fingerprint=fingerprint[:12]
             ) as sp:
-                payloads = self._stage_payloads(name, record.artifacts, compute, encode)
-                value = decode(payloads)
-                sp.add_counter("artifacts_reused", len(payloads))
+                value = self._decode_stage(
+                    name, record.artifacts, compute, encode, decode
+                )
+                sp.add_counter("artifacts_reused", len(record.artifacts))
                 sp.add_counter(
                     "bytes_reused", sum(r.size for r in record.artifacts.values())
                 )
@@ -219,9 +214,8 @@ class RunCheckpointer:
             refs, deduped = outcome.refs, outcome.hit
             if deduped:
                 with obs.span("runs.stage.dedup", stage=name) as sp:
-                    payloads = self._stage_payloads(name, refs, compute, encode)
-                    value = decode(payloads)
-                    sp.add_counter("artifacts_reused", len(payloads))
+                    value = self._decode_stage(name, refs, compute, encode, decode)
+                    sp.add_counter("artifacts_reused", len(refs))
                 self.deduped_stages.append(name)
             else:
                 value = outcome.value

@@ -257,9 +257,10 @@ class RepairEngine:
         )
 
     # ------------------------------------------------------------------
-    # self-healing read facades
+    # self-healing read facade (the store's read methods, so stage
+    # decoders take the engine in place of a RunStore)
     # ------------------------------------------------------------------
-    def read_json(self, ref: ArtifactRef) -> Any:
+    def get_json(self, ref: ArtifactRef) -> Any:
         """:meth:`RunStore.get_json` with one repair-and-retry on damage."""
         try:
             return self.store.get_json(ref)
@@ -267,7 +268,7 @@ class RepairEngine:
             self.ensure_healthy(ref.hash)
             return self.store.get_json(ref)
 
-    def read_bytes(self, ref: ArtifactRef) -> bytes:
+    def get_bytes(self, ref: ArtifactRef) -> bytes:
         """:meth:`RunStore.get_bytes` with one repair-and-retry on damage."""
         try:
             return self.store.get_bytes(ref)

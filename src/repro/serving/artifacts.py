@@ -26,11 +26,10 @@ from pathlib import Path
 
 from repro.core.exceptions import CheckpointError, ConfigurationError
 from repro.features.table import FeatureTable
-from repro.runs import codecs
+from repro.core.pipeline import STAGES_BY_NAME
 from repro.runs.manifest import RunManifest, StageRecord
 from repro.runs.repair import RepairEngine
 from repro.runs.store import RunStore
-from repro.shards.table import load_feature_table
 
 __all__ = ["ServingArtifacts"]
 
@@ -89,26 +88,17 @@ class ServingArtifacts:
         propagate — serving never starts from bytes it cannot vouch for.
         """
         manifest = RunManifest.load(run_dir)
-        store = repair.store if repair is not None else RunStore(run_dir)
-        read_json = repair.read_json if repair is not None else store.get_json
+        reader = repair if repair is not None else RunStore(run_dir)
         featurize = _complete_stage(manifest, "featurize")
         train = _complete_stage(manifest, "train")
-
-        # sharded runs list one shard-manifest artifact per split plus
-        # its per-shard artifacts (keys like "text/shard00003"), which
-        # the manifest pulls through the same (repairing, verifying)
-        # reader
-        tables = {
-            name: load_feature_table(store, ref, reader=repair)
-            for name, ref in featurize.artifacts.items()
-            if "/" not in name
-        }
         model_ref = train.artifacts.get("model")
         if model_ref is None:
             raise CheckpointError(
                 f"train stage of run at {run_dir} records no 'model' artifact"
             )
-        model = codecs.decode_model(read_json(model_ref))
+        # the pipeline's stage decoders, through the verifying reader
+        tables = STAGES_BY_NAME["featurize"].decode_refs(reader, featurize.artifacts)
+        model = STAGES_BY_NAME["train"].decode(reader, model_ref)
 
         return cls(
             model=model,

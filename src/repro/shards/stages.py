@@ -128,8 +128,9 @@ def featurize_corpus_sharded(
     artifacts are still healthy are adopted instead of recomputed, and
     damaged ones are transparently rebuilt (per-point RNG streams make
     the rebuild bit-identical).  Degradation reports are per-shard and
-    not carried on the sharded handle — a resilience-regime run that
-    needs the report should featurize unsharded.
+    not carried on the sharded handle; the policy's
+    :meth:`~repro.resilience.policy.ResiliencePolicy.health_report`
+    holds the run's totals.
     """
     schema = FeatureSchema(r.spec for r in resources)
     n_rows = len(corpus)

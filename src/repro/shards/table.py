@@ -7,16 +7,15 @@ reads shards on demand from a :class:`~repro.runs.store.RunStore`.
 memory, and the manifest's content hash pins every shard hash — the
 Merkle property checkpoint fingerprints chain over.
 
-The ``reader`` seam accepts anything with ``read_json(ref)`` /
-``read_bytes(ref)`` — a plain store wrapper by default, or a
-:class:`~repro.runs.repair.RepairEngine` for self-healing loads (the
-engine's facade has exactly this shape).
+Shards are read through the store's ``get_json(ref)`` /
+``get_bytes(ref)``, so a :class:`~repro.runs.repair.RepairEngine`
+(whose self-healing facade has the same two methods) can stand in for
+the store on loads.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterator
-from typing import Any
 
 from repro.core.exceptions import CheckpointError, SchemaError
 from repro.features.io import _spec_from_dict, _spec_to_dict, table_from_dict
@@ -46,21 +45,6 @@ DENSE_KIND = "table_shard.npy"
 _MANIFEST_FORMAT_VERSION = 1
 
 
-class _StoreReader:
-    """Default verifying reader over a bare store."""
-
-    __slots__ = ("store",)
-
-    def __init__(self, store: RunStore) -> None:
-        self.store = store
-
-    def read_json(self, ref: ArtifactRef) -> Any:
-        return self.store.get_json(ref)
-
-    def read_bytes(self, ref: ArtifactRef) -> bytes:
-        return self.store.get_bytes(ref)
-
-
 def _ref_or_none(data: dict | None) -> ArtifactRef | None:
     return None if data is None else ArtifactRef.from_dict(data)
 
@@ -73,7 +57,6 @@ class ShardedTable:
         store: RunStore,
         manifest: dict,
         manifest_ref: ArtifactRef | None = None,
-        reader: Any | None = None,
     ) -> None:
         version = manifest.get("format_version")
         if version != _MANIFEST_FORMAT_VERSION:
@@ -84,7 +67,6 @@ class ShardedTable:
         self.store = store
         self.manifest = manifest
         self.manifest_ref = manifest_ref
-        self.reader = reader if reader is not None else _StoreReader(store)
         self.schema = FeatureSchema(
             _spec_from_dict(s) for s in manifest["schema"]
         )
@@ -125,10 +107,8 @@ class ShardedTable:
     def shard(self, index: int) -> FeatureTable:
         """Materialize one shard as a row-aligned :class:`FeatureTable`."""
         rows_ref, dense_ref = self.shard_refs(index)
-        rows_doc = self.reader.read_json(rows_ref)
-        dense = (
-            self.reader.read_bytes(dense_ref) if dense_ref is not None else None
-        )
+        rows_doc = self.store.get_json(rows_ref)
+        dense = self.store.get_bytes(dense_ref) if dense_ref is not None else None
         return decode_table_shard(self.schema, rows_doc, dense)
 
     def iter_shards(self) -> Iterator[FeatureTable]:
@@ -293,24 +273,15 @@ class ShardedTableWriter:
         return writer.finish()
 
 
-def load_feature_table(
-    store: RunStore,
-    ref: ArtifactRef,
-    doc: Any = None,
-    reader: Any | None = None,
-) -> FeatureTable:
+def load_feature_table(store: RunStore, ref: ArtifactRef) -> FeatureTable:
     """Materialize one featurize-stage artifact as a :class:`FeatureTable`.
 
-    A shard manifest is materialized through :class:`ShardedTable`; any
-    other kind is a whole :func:`~repro.features.io.table_to_dict`
-    payload.  ``doc`` is the artifact's payload when the caller already
-    read it; otherwise it is read through ``reader`` (see the module
-    docstring), which also reads the shards of a manifest.
+    A shard manifest is materialized through :class:`ShardedTable`,
+    reading its shards from the same ``store`` (see the module
+    docstring); any other kind is a whole
+    :func:`~repro.features.io.table_to_dict` payload.
     """
-    if reader is None:
-        reader = _StoreReader(store)
-    if doc is None:
-        doc = reader.read_json(ref)
+    doc = store.get_json(ref)
     if ref.kind == MANIFEST_KIND:
-        return ShardedTable(store, doc, reader=reader).to_table()
+        return ShardedTable(store, doc).to_table()
     return table_from_dict(doc)

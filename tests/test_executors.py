@@ -42,7 +42,6 @@ def test_config_defaults_to_serial():
         {"backend": "gpu"},
         {"workers": 0},
         {"workers": -2},
-        {"chunk_size": 0},
     ],
 )
 def test_config_rejects_invalid_values(kwargs):

@@ -24,7 +24,7 @@ def _stage_args(value):
     return {
         "compute": lambda: value,
         "encode": _encode,
-        "decode": lambda payloads: payloads["out"]["v"],
+        "decode": lambda store, refs: store.get_json(refs["out"])["v"],
     }
 
 
@@ -179,7 +179,7 @@ def test_engine_read_json_self_heals(tmp_path):
     _path_of(ck.store, ref).unlink()
 
     engine = RepairEngine(ck.manifest, ck.store, _recompute_for(ck.store))
-    assert engine.read_json(ref) == {"v": 41}
+    assert engine.get_json(ref) == {"v": 41}
     assert ck.store.check(ref) == "healthy"
 
 
@@ -226,7 +226,7 @@ def test_resume_auto_repair_still_refuses_nondeterminism(tmp_path):
             config={"k": 1},
             compute=lambda: 999,
             encode=_encode,
-            decode=lambda payloads: payloads["out"]["v"],
+            decode=lambda store, refs: store.get_json(refs["out"])["v"],
         )
     assert ck2.store.check(ref) == "missing"
 

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.experiments.reporting import render_bars
+from repro.experiments.reporting import no_cliff, render_bars
 
 
 class TestRenderBars:
@@ -52,3 +52,25 @@ class TestDeterminism:
             return pipeline.run(tiny_splits).metrics["auprc"]
 
         assert run() == run()
+
+
+@pytest.mark.parametrize(
+    "levels, values, graceful",
+    [
+        ([1.0, 0.8, 0.6], [0.40, 0.35, 0.28], True),
+        # one step losing more than half is a cliff
+        ([1.0, 0.8, 0.6], [0.40, 0.38, 0.08], False),
+        # total loss above half is fine when no single step is a cliff
+        ([1.0, 0.8, 0.6], [0.40, 0.24, 0.15], True),
+        # levels are walked from highest to lowest, whatever the input order
+        ([0.6, 1.0, 0.8], [0.08, 0.40, 0.38], False),
+        ([0.6, 1.0, 0.8], [0.28, 0.40, 0.35], True),
+        # a zero value has nothing left to lose; a zero level sorts last
+        ([1.0, 0.5, 0.0], [0.40, 0.0, 0.0], False),
+        ([1.0, 0.5, 0.0], [0.0, 0.0, 0.3], True),
+        ([0.0, 1.0], [0.1, 0.40], False),
+        ([1.0], [0.40], True),
+    ],
+)
+def test_no_cliff_gate(levels, values, graceful):
+    assert no_cliff(levels, values) is graceful

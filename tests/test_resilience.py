@@ -654,7 +654,6 @@ class TestDeadlineRetry:
         # deadlines fired and were absorbed as degradations, not errors
         assert health.total_deadline_exceeded > 0
         assert health.total_retries == 0
-        assert table.degradation.counters["deadline_exceeded"] > 0
         assert table.n_rows == len(small_corpus)
 
 

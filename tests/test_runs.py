@@ -315,7 +315,7 @@ def _stage_args(value):
     return {
         "compute": lambda: value,
         "encode": lambda v: {"out": ("evaluation", {"v": v})},
-        "decode": lambda payloads: payloads["out"]["v"],
+        "decode": lambda store, refs: store.get_json(refs["out"])["v"],
     }
 
 
@@ -332,7 +332,7 @@ def test_checkpointer_skips_on_matching_fingerprint(tmp_path):
         config={"k": 1},
         compute=lambda: calls.append(1) or 99,
         encode=lambda v: {"out": ("evaluation", {"v": v})},
-        decode=lambda payloads: payloads["out"]["v"],
+        decode=lambda store, refs: store.get_json(refs["out"])["v"],
     )
     assert second.reused and second.value == 41 and not calls
     assert ck2.reused_stages == ["s"]
@@ -477,7 +477,7 @@ def test_concurrent_checkpointers_single_flight_dedup(tmp_path):
         return {
             "compute": compute,
             "encode": lambda v: {"out": ("evaluation", v)},
-            "decode": lambda payloads: payloads["out"],
+            "decode": lambda store, refs: store.get_json(refs["out"]),
         }
 
     outcomes = [None, None]
@@ -525,7 +525,7 @@ def test_concurrent_checkpointers_different_fingerprints_never_collide(tmp_path)
         return {
             "compute": lambda: {"v": value},
             "encode": lambda v: {"out": ("evaluation", v)},
-            "decode": lambda payloads: payloads["out"],
+            "decode": lambda store, refs: store.get_json(refs["out"]),
         }
 
     ck0 = RunCheckpointer(tmp_path / "a", context={"seed": 7},

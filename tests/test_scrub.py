@@ -17,7 +17,7 @@ def _stage_args(value):
     return {
         "compute": lambda: value,
         "encode": _encode,
-        "decode": lambda payloads: payloads["out"]["v"],
+        "decode": lambda store, refs: store.get_json(refs["out"])["v"],
     }
 
 
